@@ -1,5 +1,7 @@
 #include "ptest/core/bug_detector.hpp"
 
+#include <algorithm>
+#include <array>
 #include <sstream>
 
 namespace ptest::core {
@@ -9,28 +11,30 @@ std::vector<pcore::TaskId> BugDetector::find_deadlock_cycle(
   // wait_for[t] = owner of the mutex t is blocked on (if blocked).
   std::array<pcore::TaskId, pcore::kMaxTasks> wait_for;
   wait_for.fill(pcore::kInvalidTask);
+  const auto& tcbs = kernel.tcbs();
   for (pcore::TaskId t = 0; t < pcore::kMaxTasks; ++t) {
-    const pcore::Tcb& tcb = kernel.tcb(t);
+    const pcore::Tcb& tcb = tcbs[t];
     if (tcb.state != pcore::TaskState::kBlocked || !tcb.waiting_on) continue;
     const pcore::KMutex& mutex = kernel.mutex(*tcb.waiting_on);
     if (mutex.owner) wait_for[t] = *mutex.owner;
   }
-  // Floyd-style walk from every blocked task; cycles are tiny (<= 16).
+  // Floyd-style walk from every blocked task; cycles are tiny (<= 16), so
+  // the path fits a fixed array (each task appears on it at most once).
+  std::array<pcore::TaskId, pcore::kMaxTasks> path;
   for (pcore::TaskId start = 0; start < pcore::kMaxTasks; ++start) {
     if (wait_for[start] == pcore::kInvalidTask) continue;
-    std::vector<pcore::TaskId> path;
+    std::size_t length = 0;
     std::array<bool, pcore::kMaxTasks> on_path{};
     pcore::TaskId cursor = start;
     while (cursor != pcore::kInvalidTask && !on_path[cursor]) {
       on_path[cursor] = true;
-      path.push_back(cursor);
+      path[length++] = cursor;
       cursor = wait_for[cursor];
     }
     if (cursor == pcore::kInvalidTask) continue;
     // `cursor` starts the cycle; trim the leading tail.
-    const auto cycle_start =
-        std::find(path.begin(), path.end(), cursor);
-    return {cycle_start, path.end()};
+    const auto end = path.begin() + static_cast<std::ptrdiff_t>(length);
+    return {std::find(path.begin(), end, cursor), end};
   }
   return {};
 }
@@ -61,13 +65,19 @@ bool BugDetector::tick(sim::Soc& soc) {
     return false;
   }
 
-  // 2. Deadlock.
-  if (auto cycle = find_deadlock_cycle(*kernel_); !cycle.empty()) {
-    std::ostringstream desc;
-    desc << "wait-for cycle:";
-    for (const auto t : cycle) desc << " task" << static_cast<int>(t);
-    file_report(soc, BugKind::kDeadlock, desc.str(), std::move(cycle));
-    return false;
+  // 2. Deadlock.  The search is a pure function of the wait-for graph,
+  // and a graph found acyclic stays acyclic until the kernel changes it,
+  // so search only when its version moved since the last (clean) search.
+  if (const std::uint64_t version = kernel_->wait_graph_version();
+      version != searched_version_) {
+    searched_version_ = version;
+    if (auto cycle = find_deadlock_cycle(*kernel_); !cycle.empty()) {
+      std::ostringstream desc;
+      desc << "wait-for cycle:";
+      for (const auto t : cycle) desc << " task" << static_cast<int>(t);
+      file_report(soc, BugKind::kDeadlock, desc.str(), std::move(cycle));
+      return false;
+    }
   }
 
   // 3. Unresponsive slave (command timeout).
@@ -104,17 +114,19 @@ bool BugDetector::tick(sim::Soc& soc) {
     }
   }
 
-  // 5. Starvation (optional).
+  // 5. Starvation (optional).  Reads the TCBs in place, in slot order.
   if (config_.starvation_horizon != 0) {
-    for (const auto& task : kernel_->snapshot().tasks) {
+    const auto& tcbs = kernel_->tcbs();
+    for (pcore::TaskId id = 0; id < pcore::kMaxTasks; ++id) {
+      const pcore::Tcb& task = tcbs[id];
       if (task.state != pcore::TaskState::kReady) continue;
       if (soc.now() - task.last_progress > config_.starvation_horizon) {
         file_report(soc, BugKind::kStarvation,
-                    "task " + std::to_string(task.id) +
+                    "task " + std::to_string(id) +
                         " ready but unscheduled for " +
                         std::to_string(soc.now() - task.last_progress) +
                         " ticks",
-                    {task.id});
+                    {id});
         return false;
       }
     }

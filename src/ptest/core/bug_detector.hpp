@@ -11,7 +11,8 @@
 // Detections:
 //   * slave crash      — kernel panic flag (case study 1's GC failure);
 //   * deadlock         — cycle in the wait-for graph built from mutex
-//                        owners/waiters (case study 2);
+//                        owners/waiters (case study 2), searched only on
+//                        ticks where the kernel's wait-graph version moved;
 //   * unresponsive     — a remote command unacknowledged past the timeout;
 //   * no-termination   — tasks still alive past the horizon after the
 //                        committer finished (covers Fig. 1's spin livelock,
@@ -53,6 +54,7 @@ class BugDetector : public sim::Device {
   [[nodiscard]] bool passed() const noexcept { return passed_; }
 
   /// Finds a wait-for cycle among blocked tasks; exposed for unit tests.
+  /// Allocates only the cycle it returns.
   [[nodiscard]] static std::vector<pcore::TaskId> find_deadlock_cycle(
       const pcore::PcoreKernel& kernel);
 
@@ -67,6 +69,9 @@ class BugDetector : public sim::Device {
   std::optional<BugReport> report_;
   bool passed_ = false;
   std::optional<sim::Tick> committer_finished_at_;
+  /// Kernel wait-graph version at the last cycle search, which found the
+  /// graph acyclic; the sentinel forces a search on the first tick.
+  std::uint64_t searched_version_ = ~std::uint64_t{0};
 };
 
 }  // namespace ptest::core

@@ -77,7 +77,12 @@ class KernelHeap {
     return panic_reason_;
   }
 
+  /// Walks every block to total `free_bytes`; O(blocks).
   [[nodiscard]] HeapStats stats() const;
+  /// Blocks parked for the next collection; O(1), for per-tick checks.
+  [[nodiscard]] std::size_t graveyard_blocks() const noexcept {
+    return graveyard_.size();
+  }
 
   /// Verifies all block headers; returns false (and sets panic) on
   /// corruption.  Runs in O(blocks).

@@ -170,6 +170,7 @@ void PcoreKernel::release_held_mutexes(TaskId task) {
   for (MutexId id = 0; id < mutex_count_; ++id) {
     if (mutexes_[id].owner == task) {
       mutexes_[id].owner.reset();
+      ++wait_graph_version_;
       wake_next_waiter(id);
     }
     auto& waiters = mutexes_[id].waiters;
@@ -187,6 +188,7 @@ void PcoreKernel::reclaim(TaskId task, TaskState final_state) {
   tcb.program.reset();
   tcb.state = final_state;
   tcb.waiting_on.reset();
+  ++wait_graph_version_;
   if (running_ == task) running_ = kInvalidTask;
 }
 
@@ -263,6 +265,7 @@ void PcoreKernel::wake_next_waiter(MutexId id) {
   mutex.waiters.erase(best);
   mutex.owner = winner;
   ++mutex.acquisitions;
+  ++wait_graph_version_;
   Tcb& tcb = tcbs_[winner];
   tcb.waiting_on.reset();
   tcb.state = TaskState::kReady;
@@ -272,7 +275,7 @@ void PcoreKernel::wake_next_waiter(MutexId id) {
 
 void PcoreKernel::maybe_collect(sim::Soc& soc) {
   const bool graveyard_full =
-      heap_.stats().graveyard_blocks >= config_.gc_graveyard_threshold;
+      heap_.graveyard_blocks() >= config_.gc_graveyard_threshold;
   const bool periodic = config_.gc_period != 0 &&
                         tick_ - last_gc_ >= config_.gc_period;
   if (!graveyard_full && !periodic) return;
@@ -341,6 +344,7 @@ void PcoreKernel::run_scheduler(sim::Soc& soc) {
       if (!mutex.owner) {
         mutex.owner = next;
         ++mutex.acquisitions;
+        ++wait_graph_version_;
       } else if (mutex.owner == next) {
         // Recursive lock is a program bug; treat as no-op with trace.
         soc.record(sim::TraceCategory::kKernel,
@@ -352,6 +356,7 @@ void PcoreKernel::run_scheduler(sim::Soc& soc) {
         tcb.state = TaskState::kBlocked;
         tcb.waiting_on = static_cast<MutexId>(id);
         running_ = kInvalidTask;
+        ++wait_graph_version_;
       }
       break;
     }
@@ -363,6 +368,7 @@ void PcoreKernel::run_scheduler(sim::Soc& soc) {
         return;
       }
       mutexes_[id].owner.reset();
+      ++wait_graph_version_;
       wake_next_waiter(id);
       break;
     }

@@ -145,10 +145,22 @@ class PcoreKernel : public sim::Device {
   }
   [[nodiscard]] std::size_t live_task_count() const noexcept;
   [[nodiscard]] const Tcb& tcb(TaskId task) const { return tcbs_.at(task); }
+  /// Every task slot in slot order, read in place (no copies, no checks).
+  [[nodiscard]] const std::array<Tcb, kMaxTasks>& tcbs() const noexcept {
+    return tcbs_;
+  }
   [[nodiscard]] const KMutex& mutex(MutexId id) const {
     return mutexes_.at(id);
   }
   [[nodiscard]] KernelHeap& heap() noexcept { return heap_; }
+  /// Moves whenever the wait-for graph may have changed: a task blocks on
+  /// a mutex or stops being blocked, or a mutex owner is set or reset.
+  /// While it stands still every blocked task's edge (task -> owner of
+  /// the mutex it waits on) is unchanged, so an observer that found the
+  /// graph acyclic at this version need not search it again.
+  [[nodiscard]] std::uint64_t wait_graph_version() const noexcept {
+    return wait_graph_version_;
+  }
   [[nodiscard]] sim::Tick current_tick() const noexcept { return tick_; }
   /// Shared user words, also reachable from master threads through the
   /// kernel (models the Fig. 1 shared-memory flags).
@@ -186,6 +198,7 @@ class PcoreKernel : public sim::Device {
   sim::Tick tick_ = 0;
   sim::Tick last_gc_ = 0;
   std::uint64_t service_calls_ = 0;
+  std::uint64_t wait_graph_version_ = 0;
 };
 
 }  // namespace ptest::pcore

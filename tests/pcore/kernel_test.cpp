@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "ptest/core/bug_detector.hpp"
 #include "ptest/pcore/programs.hpp"
 
 namespace ptest::pcore {
@@ -262,6 +263,175 @@ TEST_F(KernelFixture, ScheduleNoiseStillRunsOnlyRunnableTasks) {
   EXPECT_EQ(kernel_->tcb(low).steps, 0u);
   EXPECT_GT(kernel_->tcb(high).steps, 0u);
 }
+
+// --- wait-for graph version ---------------------------------------------------
+//
+// The bug detector re-runs its cycle search only when
+// wait_graph_version() moved, so every kernel path that edits the graph
+// must move it, and a cycle must be caught on the tick it closes.
+
+/// A real BugDetector stepped after the kernel, with a committer that
+/// issues nothing (so only the kernel checks can fire).
+struct DetectorRig {
+  explicit DetectorRig(PcoreKernel& kernel)
+      : committer(pattern::MergedPattern{}, alphabet, {}),
+        recorder(alphabet),
+        detector(core::DetectorConfig{}, kernel, committer, recorder) {}
+  pfa::Alphabet alphabet;
+  master::Committer committer;
+  core::StateRecorder recorder;
+  core::BugDetector detector;
+};
+
+class WaitGraphFixture : public KernelFixture {
+ protected:
+  TaskId spawn(Priority priority, std::vector<StepResult> script) {
+    const std::uint32_t program = next_program_++;
+    kernel_->register_program(program, [script](std::uint32_t) {
+      return std::make_unique<ScriptProgram>(script);
+    });
+    return create(priority, program);
+  }
+
+  /// Steps one tick; returns the tick it ran at.
+  sim::Tick step() {
+    const sim::Tick now = soc_.now();
+    (void)soc_.step();
+    return now;
+  }
+
+  [[nodiscard]] std::uint64_t version() const {
+    return kernel_->wait_graph_version();
+  }
+
+  std::uint32_t next_program_ = 300;
+};
+
+TEST_F(WaitGraphFixture, ContendedLockClosingACycleIsCaughtThatTick) {
+  DetectorRig rig(*kernel_);
+  soc_.attach(rig.detector);
+  const MutexId a = kernel_->mutex_create();
+  const MutexId b = kernel_->mutex_create();
+  std::vector<StepResult> first{StepResult::lock(a), StepResult::lock(b)};
+  const TaskId t1 = spawn(9, first);
+  std::uint64_t before = version();
+  (void)step();  // t1 takes a
+  EXPECT_NE(version(), before);
+  ASSERT_EQ(kernel_->task_suspend(t1), Status::kOk);
+  std::vector<StepResult> second{StepResult::lock(b), StepResult::lock(a)};
+  const TaskId t2 = spawn(5, second);
+  (void)step();  // t2 takes b
+  ASSERT_EQ(kernel_->mutex(b).owner, t2);
+  ASSERT_EQ(kernel_->task_resume(t1), Status::kOk);
+
+  before = version();
+  (void)step();  // t1 blocks on b: an edge, no cycle
+  ASSERT_EQ(kernel_->tcb(t1).state, TaskState::kBlocked);
+  EXPECT_NE(version(), before);
+  EXPECT_FALSE(rig.detector.bug_found());
+
+  before = version();
+  const sim::Tick closing = step();  // t2 blocks on a: the cycle closes
+  ASSERT_EQ(kernel_->tcb(t2).state, TaskState::kBlocked);
+  EXPECT_NE(version(), before);
+  ASSERT_TRUE(rig.detector.bug_found());
+  EXPECT_EQ(rig.detector.report()->kind, core::BugKind::kDeadlock);
+  EXPECT_EQ(rig.detector.report()->detected_at, closing);
+  EXPECT_EQ(rig.detector.report()->culprits,
+            (std::vector<TaskId>{t1, t2}));
+}
+
+/// How the holder of mutex `a` lets it go to the blocked waiter.
+enum class Release { kUnlock, kExit, kDelete, kYield };
+
+class WaitGraphReleaseTest
+    : public WaitGraphFixture,
+      public ::testing::WithParamInterface<Release> {};
+
+// holder owns a; waiter owns b and waits on a; other owns c and waits on
+// b.  When a passes to waiter, waiter runs next and locks c, closing
+// waiter -> other -> waiter.  The hand-off must move the version, and
+// the real detector must report the cycle on the tick waiter blocks.
+TEST_P(WaitGraphReleaseTest, HandOffMovesVersionAndCycleIsCaughtThatTick) {
+  DetectorRig rig(*kernel_);
+  soc_.attach(rig.detector);
+  const MutexId a = kernel_->mutex_create();
+  const MutexId b = kernel_->mutex_create();
+  const MutexId c = kernel_->mutex_create();
+  const Release release = GetParam();
+
+  std::vector<StepResult> holder_script{StepResult::lock(a),
+                                        StepResult::compute(),
+                                        StepResult::compute()};
+  if (release == Release::kUnlock) {
+    holder_script.push_back(StepResult::unlock(a));
+  } else if (release == Release::kExit) {
+    holder_script.push_back(StepResult::exit());
+  }
+  holder_script.insert(holder_script.end(), 100, StepResult::compute());
+
+  const TaskId holder = spawn(3, holder_script);
+  (void)step();  // holder takes a
+  ASSERT_EQ(kernel_->mutex(a).owner, holder);
+  ASSERT_EQ(kernel_->task_suspend(holder), Status::kOk);
+  const TaskId waiter =
+      spawn(9, {StepResult::lock(b), StepResult::lock(a), StepResult::lock(c)});
+  (void)step();  // waiter takes b
+  (void)step();  // waiter blocks on a
+  ASSERT_EQ(kernel_->tcb(waiter).state, TaskState::kBlocked);
+  const TaskId other = spawn(5, {StepResult::lock(c), StepResult::lock(b)});
+  (void)step();  // other takes c
+  (void)step();  // other blocks on b
+  ASSERT_EQ(kernel_->tcb(other).state, TaskState::kBlocked);
+  ASSERT_EQ(kernel_->task_resume(holder), Status::kOk);
+
+  // The holder's lock-free compute ticks edit nothing.
+  std::uint64_t before = version();
+  (void)step();
+  (void)step();
+  EXPECT_EQ(version(), before);
+  EXPECT_FALSE(rig.detector.bug_found());
+
+  switch (release) {
+    case Release::kUnlock:
+    case Release::kExit:
+      (void)step();  // the holder's own step lets a go
+      break;
+    case Release::kDelete:
+      ASSERT_EQ(kernel_->task_delete(holder), Status::kOk);
+      break;
+    case Release::kYield:
+      ASSERT_EQ(kernel_->task_yield(holder), Status::kOk);
+      break;
+  }
+  ASSERT_EQ(kernel_->mutex(a).owner, waiter);
+  EXPECT_EQ(kernel_->tcb(waiter).state, TaskState::kReady);
+  EXPECT_NE(version(), before);
+  EXPECT_FALSE(rig.detector.bug_found());
+
+  before = version();
+  const sim::Tick closing = step();  // waiter blocks on c
+  ASSERT_EQ(kernel_->tcb(waiter).state, TaskState::kBlocked);
+  EXPECT_NE(version(), before);
+  ASSERT_TRUE(rig.detector.bug_found());
+  EXPECT_EQ(rig.detector.report()->kind, core::BugKind::kDeadlock);
+  EXPECT_EQ(rig.detector.report()->detected_at, closing);
+  EXPECT_EQ(rig.detector.report()->culprits,
+            (std::vector<TaskId>{waiter, other}));
+}
+
+INSTANTIATE_TEST_SUITE_P(Paths, WaitGraphReleaseTest,
+                         ::testing::Values(Release::kUnlock, Release::kExit,
+                                           Release::kDelete, Release::kYield),
+                         [](const auto& info) {
+                           switch (info.param) {
+                             case Release::kUnlock: return "Unlock";
+                             case Release::kExit: return "Exit";
+                             case Release::kDelete: return "TaskDelete";
+                             case Release::kYield: return "TaskYield";
+                           }
+                           return "Unknown";
+                         });
 
 // Property sweep: create/delete churn at every count never leaks slots.
 class KernelChurnSweep : public ::testing::TestWithParam<int> {};
