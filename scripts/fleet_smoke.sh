@@ -16,7 +16,10 @@
 #   the final `--halt-fleet` shuts them down and they must exit 0.
 #
 # The fleet invariant says all exports must be byte-identical; any
-# difference fails the script.
+# difference fails the script.  All three runs also print --metrics,
+# and their work-class lines (sessions, plan cache, dedup, ticks and the
+# ticks histogram: a pure function of seed and budget) must match too,
+# which gates the metrics block of the wire frames across processes.
 #
 #   Leg 3 (trace): one scenario re-runs through the same persistent
 #   socket daemons with `--trace`, and scripts/check_trace.py validates
@@ -59,6 +62,12 @@ trap cleanup EXIT
 scenarios="$("$cli" --list-scenarios | awk 'NR > 1 { print $1 }')"
 [ -n "$scenarios" ] || { echo "error: empty scenario catalog" >&2; exit 2; }
 
+# The work-class lines of a --metrics block, in print order.
+work_metrics() {
+  awk '$1 ~ /^(sessions|plan_cache_hits|plan_compiles|patterns_generated)$/ ||
+       $1 ~ /^(dedup_accepted|dedup_rejected|ticks|ticks_hist)$/' "$1"
+}
+
 # --- socket daemons: started once, serving the entire sweep ----------------
 "$cli" --listen 0 > "$workdir/daemon0.out" 2>&1 &
 daemon0_pid=$!
@@ -92,7 +101,7 @@ for scenario in $scenarios; do
   # satisfied at this tiny budget, which is legitimate; anything else
   # nonzero is a wiring failure.  The fleet runs must agree either way.
   serial_code=0
-  "$cli" --scenario "$scenario" --runs "$budget" \
+  "$cli" --scenario "$scenario" --runs "$budget" --metrics \
          --export-corpus "$serial_corpus" \
          > "$workdir/$scenario-serial.out" 2>&1 || serial_code=$?
   if [ "$serial_code" -ne 0 ] && [ "$serial_code" -ne 2 ]; then
@@ -109,7 +118,7 @@ for scenario in $scenarios; do
   w1=$!
   fleet_code=0
   "$cli" --scenario "$scenario" --runs "$budget" --connect "$spool" \
-         --fleet 2 --export-corpus "$fleet_corpus" \
+         --fleet 2 --metrics --export-corpus "$fleet_corpus" \
          > "$workdir/$scenario-fleet.out" 2>&1 || fleet_code=$?
   wait "$w0" || { echo "FAIL $scenario: worker 0 died" >&2; failed=1; }
   wait "$w1" || { echo "FAIL $scenario: worker 1 died" >&2; failed=1; }
@@ -130,7 +139,7 @@ for scenario in $scenarios; do
   # Leg 2: the same campaign through the two persistent socket daemons.
   socket_code=0
   "$cli" --scenario "$scenario" --runs "$budget" --connect "$endpoints" \
-         --fleet 2 --export-corpus "$socket_corpus" \
+         --fleet 2 --metrics --export-corpus "$socket_corpus" \
          > "$workdir/$scenario-socket.out" 2>&1 || socket_code=$?
   if [ "$socket_code" -ne "$serial_code" ]; then
     echo "FAIL $scenario: serial exit $serial_code vs socket exit $socket_code" >&2
@@ -144,7 +153,25 @@ for scenario in $scenarios; do
     failed=1
     continue
   fi
-  echo "ok $scenario (exit $serial_code, file-queue + socket corpora identical)"
+
+  # Work-class metrics: serial vs each fleet leg.
+  work_metrics "$workdir/$scenario-serial.out" > "$workdir/$scenario-serial.work"
+  if ! grep -q '^  sessions ' "$workdir/$scenario-serial.work"; then
+    echo "FAIL $scenario: serial run printed no metrics block" >&2
+    failed=1
+    continue
+  fi
+  metrics_ok=1
+  for leg in fleet socket; do
+    work_metrics "$workdir/$scenario-$leg.out" > "$workdir/$scenario-$leg.work"
+    if ! diff "$workdir/$scenario-serial.work" "$workdir/$scenario-$leg.work" >&2
+    then
+      echo "FAIL $scenario: $leg work-class metrics differ from serial" >&2
+      metrics_ok=0
+    fi
+  done
+  [ "$metrics_ok" -eq 1 ] || { failed=1; continue; }
+  echo "ok $scenario (exit $serial_code, file-queue + socket corpora and work metrics identical)"
 done
 
 # --- leg 3: trace one campaign through the same daemons --------------------

@@ -140,7 +140,10 @@ CampaignResult Campaign::run_slice(const ShardSlice& slice) {
 
 CampaignResult Campaign::run_impl(std::size_t run_base, std::size_t budget) {
   const auto wall_start = std::chrono::steady_clock::now();
-  support::Metrics metrics;
+  CampaignResult result;
+  // Only this thread touches the counters: workers return RunOutcomes,
+  // and phase 3 below adds them in run order.
+  support::MetricsSnapshot& metrics = result.metrics;
 
   // Compile every arm's fixed artifact once, before any session runs:
   // the plans are immutable from here on, so the worker threads share
@@ -149,11 +152,10 @@ CampaignResult Campaign::run_impl(std::size_t run_base, std::size_t budget) {
   if (options_.precompile) {
     for (std::size_t i = 0; i < arms_.size(); ++i) {
       plans_[i] = compile(arm_config(i));
-      metrics.add_plan_compiles();
+      ++metrics.plan_compiles;
     }
   }
 
-  CampaignResult result;
   result.arm_stats.resize(arms_.size());
   support::Rng policy_rng(base_config_.seed ^ 0xada9717eULL);
 
@@ -200,14 +202,6 @@ CampaignResult Campaign::run_impl(std::size_t run_base, std::size_t budget) {
   // stay jobs-invariant even though the physical reuse is scheduled.
   std::vector<pfa::WalkScratch> scratches(participants);
 
-  // Per-session distributions, filled in the in-order merge phase below.
-  // ticks_hist is work class (insertion is commutative and the values
-  // are a pure function of seed/run index, so the buckets are identical
-  // for any jobs value or shard split); session_wall_hist times the
-  // host.
-  obs::Histogram ticks_hist;
-  obs::Histogram session_wall_hist;
-
   std::vector<std::size_t> round_arms;
   std::vector<RunOutcome> round_outcomes;
   for (std::size_t round_start = 0; round_start < budget;
@@ -248,21 +242,25 @@ CampaignResult Campaign::run_impl(std::size_t run_base, std::size_t budget) {
     for (std::size_t i = 0; i < round_size; ++i) {
       ++result.total_runs;
       const RunOutcome& outcome = round_outcomes[i];
-      metrics.add_sessions();
-      metrics.add_patterns_generated(outcome.patterns);
-      metrics.add_ticks(outcome.ticks);
-      ticks_hist.record(outcome.ticks);
-      session_wall_hist.record(outcome.wall_ns);
-      metrics.add_scratch_reuse_hits(outcome.scratch_reuse_hits);
-      metrics.add_sample_alloc_bytes_saved(outcome.sample_alloc_bytes_saved);
+      ++metrics.sessions;
+      metrics.patterns_generated += outcome.patterns;
+      metrics.ticks += outcome.ticks;
+      // ticks_hist is work class (insertion is commutative and the
+      // values are a pure function of seed/run index, so the buckets are
+      // identical for any jobs value or shard split); session_wall_hist
+      // times the host.
+      metrics.ticks_hist.record(outcome.ticks);
+      metrics.session_wall_hist.record(outcome.wall_ns);
+      metrics.scratch_reuse_hits += outcome.scratch_reuse_hits;
+      metrics.sample_alloc_bytes_saved += outcome.sample_alloc_bytes_saved;
       if (outcome.plan_cached) {
-        metrics.add_plan_cache_hits();
+        ++metrics.plan_cache_hits;
       } else {
-        metrics.add_plan_compiles();  // compile-per-run legacy path
+        ++metrics.plan_compiles;  // compile-per-run legacy path
       }
       if (base_config_.dedup_patterns) {
-        metrics.add_dedup_accepted(outcome.patterns);
-        metrics.add_dedup_rejected(outcome.duplicates_rejected);
+        metrics.dedup_accepted += outcome.patterns;
+        metrics.dedup_rejected += outcome.duplicates_rejected;
       }
       if (!outcome.hit) continue;
       ++result.arm_stats[round_arms[i]].detections;
@@ -280,15 +278,12 @@ CampaignResult Campaign::run_impl(std::size_t run_base, std::size_t budget) {
     }
   }
 
-  metrics.set_worker_threads(pool ? pool->thread_count() + 1 : 1);
-  if (pool) metrics.add_worker_idle_ns(pool->idle_nanos());
-  metrics.add_wall_ns(static_cast<std::uint64_t>(
+  metrics.worker_threads = participants;
+  if (pool) metrics.worker_idle_ns = pool->idle_nanos();
+  metrics.wall_ns = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - wall_start)
-          .count()));
-  result.metrics = metrics.snapshot();
-  result.metrics.ticks_hist = ticks_hist;
-  result.metrics.session_wall_hist = session_wall_hist;
+          .count());
   if (track_coverage) {
     // Fold the helpers' trackers into participant 0's — plain set
     // unions, so the fold order is irrelevant.
@@ -304,11 +299,11 @@ CampaignResult Campaign::run_impl(std::size_t run_base, std::size_t budget) {
       const pattern::CoverageReport report = state.report();
       result.arm_coverage.push_back(report);
       result.arm_coverage_state.push_back(std::move(state));
-      result.metrics.pfa_states += report.states_total;
-      result.metrics.pfa_states_covered += report.states_covered;
-      result.metrics.pfa_transitions += report.transitions_total;
-      result.metrics.pfa_transitions_covered += report.transitions_covered;
-      result.metrics.pfa_ngrams += report.ngrams_observed;
+      metrics.pfa_states += report.states_total;
+      metrics.pfa_states_covered += report.states_covered;
+      metrics.pfa_transitions += report.transitions_total;
+      metrics.pfa_transitions_covered += report.transitions_covered;
+      metrics.pfa_ngrams += report.ngrams_observed;
     }
   }
   return result;

@@ -61,8 +61,4 @@ std::string BugReport::signature() const {
   return out.str();
 }
 
-std::string render(const support::MetricsSnapshot& metrics) {
-  return metrics.render();
-}
-
 }  // namespace ptest::core

@@ -13,7 +13,6 @@
 
 #include "ptest/pattern/pattern.hpp"
 #include "ptest/pcore/kernel.hpp"
-#include "ptest/support/metrics.hpp"
 
 namespace ptest::core {
 
@@ -50,12 +49,5 @@ struct BugReport {
   /// culprits + (for crashes) the panic reason.
   [[nodiscard]] std::string signature() const;
 };
-
-/// Renders campaign perf counters (CampaignResult::metrics) on the same
-/// human-readable report surface as BugReport::render — what
-/// `ptest_cli --metrics` prints after a run.  For machine-readable
-/// output, MetricsSnapshot::write_json emits the same counters through
-/// support::JsonWriter.
-[[nodiscard]] std::string render(const support::MetricsSnapshot& metrics);
 
 }  // namespace ptest::core

@@ -64,31 +64,13 @@ core::CampaignResult merge_shards(const std::vector<ResultFrame>& shards) {
       any_coverage = true;
       coverage.merge(shard.arm_coverage_state[0]);
     }
-    support::MetricsSnapshot& m = merged.metrics;
-    const support::MetricsSnapshot& s = shard.metrics;
-    m.sessions += s.sessions;
-    m.plan_cache_hits += s.plan_cache_hits;
-    m.patterns_generated += s.patterns_generated;
-    m.dedup_accepted += s.dedup_accepted;
-    m.dedup_rejected += s.dedup_rejected;
-    m.ticks += s.ticks;
-    m.scratch_reuse_hits += s.scratch_reuse_hits;
-    m.sample_alloc_bytes_saved += s.sample_alloc_bytes_saved;
-    m.worker_idle_ns += s.worker_idle_ns;
-    m.worker_threads = std::max(m.worker_threads, s.worker_threads);
-    // Histograms fold bucket-wise; shard-index order is global run
-    // order, and the merge is commutative anyway, so the merged
-    // ticks_hist is bit-identical to the serial run's.
-    m.ticks_hist.merge(s.ticks_hist);
-    m.session_wall_hist.merge(s.session_wall_hist);
-    m.corpus_merge_hist.merge(s.corpus_merge_hist);
-    m.frame_rtt_hist.merge(s.frame_rtt_hist);
-    m.transport_send_hist.merge(s.transport_send_hist);
+    // Shard-index order is global run order, and plan_compiles keeps
+    // the first shard's value: every shard compiled the one shared
+    // plan, which the serial run compiles once.
+    merged.metrics.merge(shard.metrics);
   }
-  // Every shard compiled the one shared plan; the serial run compiles
-  // it once.  Summing would break the counter identity, so the merged
-  // value is the (identical) per-shard value, not the sum.
-  merged.metrics.plan_compiles = shards.front().result.metrics.plan_compiles;
+  // Coverage unions across shards rather than summing, so the pfa_*
+  // totals come from the merged sets, not from merge()'s sums.
   if (any_coverage) {
     const pattern::CoverageReport report = coverage.report();
     merged.arm_coverage.push_back(report);

@@ -9,6 +9,8 @@ namespace ptest::fleet {
 
 namespace {
 
+using support::json_count;
+
 std::string hex64(std::uint64_t value) {
   char buffer[17];
   std::snprintf(buffer, sizeof buffer, "%016llx",
@@ -35,20 +37,6 @@ std::optional<std::uint64_t> parse_hex64(std::string_view text) {
   return value;
 }
 
-/// Non-negative integral number; nullopt on anything else (frames are
-/// machine-written, so any deviation marks corruption).
-std::optional<std::uint64_t> as_count(const support::JsonValue* value) {
-  if (value == nullptr || !value->is_number()) return std::nullopt;
-  const double number = value->number;
-  if (!(number >= 0.0) || number >= 18446744073709551616.0) {
-    return std::nullopt;
-  }
-  if (number != static_cast<double>(static_cast<std::uint64_t>(number))) {
-    return std::nullopt;
-  }
-  return static_cast<std::uint64_t>(number);
-}
-
 std::optional<std::string> as_string(const support::JsonValue* value) {
   if (value == nullptr || !value->is_string()) return std::nullopt;
   return value->string;
@@ -65,57 +53,6 @@ void write_transition_array(
     out.end_array();
   }
   out.end_array();
-}
-
-// Histograms cross the wire as sparse [bucket_index, count] pairs — the
-// layout is fixed (obs::Histogram::kBuckets), so the pairs reconstruct
-// the exact bucket array and the merge algebra survives the round trip.
-void write_wire_histogram(support::JsonWriter& out,
-                          const obs::Histogram& hist) {
-  out.begin_array();
-  for (std::size_t i = 0; i < obs::Histogram::kBuckets; ++i) {
-    if (hist.bucket(i) == 0) continue;
-    out.begin_array();
-    out.value(static_cast<std::uint64_t>(i));
-    out.value(hist.bucket(i));
-    out.end_array();
-  }
-  out.end_array();
-}
-
-void write_metrics(support::JsonWriter& out,
-                   const support::MetricsSnapshot& metrics) {
-  out.begin_object();
-  out.key("sessions").value(metrics.sessions);
-  out.key("plan_cache_hits").value(metrics.plan_cache_hits);
-  out.key("plan_compiles").value(metrics.plan_compiles);
-  out.key("patterns_generated").value(metrics.patterns_generated);
-  out.key("dedup_accepted").value(metrics.dedup_accepted);
-  out.key("dedup_rejected").value(metrics.dedup_rejected);
-  out.key("ticks").value(metrics.ticks);
-  out.key("scratch_reuse_hits").value(metrics.scratch_reuse_hits);
-  out.key("sample_alloc_bytes_saved").value(metrics.sample_alloc_bytes_saved);
-  out.key("wall_ns").value(metrics.wall_ns);
-  out.key("worker_idle_ns").value(metrics.worker_idle_ns);
-  out.key("worker_threads").value(metrics.worker_threads);
-  out.key("fleet_shards").value(metrics.fleet_shards);
-  out.key("fleet_retries").value(metrics.fleet_retries);
-  out.key("fleet_corpus_merge_ns").value(metrics.fleet_corpus_merge_ns);
-  out.key("fleet_shard_wall_max_ns").value(metrics.fleet_shard_wall_max_ns);
-  out.key("fleet_shard_wall_min_ns").value(metrics.fleet_shard_wall_min_ns);
-  out.key("hist").begin_object();
-  out.key("ticks");
-  write_wire_histogram(out, metrics.ticks_hist);
-  out.key("session_wall_ns");
-  write_wire_histogram(out, metrics.session_wall_hist);
-  out.key("corpus_merge_ns");
-  write_wire_histogram(out, metrics.corpus_merge_hist);
-  out.key("frame_rtt_ns");
-  write_wire_histogram(out, metrics.frame_rtt_hist);
-  out.key("transport_send_ns");
-  write_wire_histogram(out, metrics.transport_send_hist);
-  out.end_object();
-  out.end_object();
 }
 
 void write_failure(support::JsonWriter& out, const core::BugReport& report) {
@@ -174,8 +111,8 @@ void write_coverage_state(support::JsonWriter& out,
 bool read_transition(const support::JsonValue& entry,
                      std::pair<std::uint32_t, pfa::SymbolId>& out) {
   if (!entry.is_array() || entry.array.size() != 2) return false;
-  const auto state = as_count(&entry.array[0]);
-  const auto symbol = as_count(&entry.array[1]);
+  const auto state = json_count(&entry.array[0]);
+  const auto symbol = json_count(&entry.array[1]);
   if (!state || !symbol || *state > ~std::uint32_t{0} ||
       *symbol > ~std::uint32_t{0}) {
     return false;
@@ -185,68 +122,11 @@ bool read_transition(const support::JsonValue& entry,
   return true;
 }
 
-bool read_histogram(const support::JsonValue* node, obs::Histogram& hist) {
-  if (node == nullptr || !node->is_array()) return false;
-  for (const support::JsonValue& entry : node->array) {
-    if (!entry.is_array() || entry.array.size() != 2) return false;
-    const auto index = as_count(&entry.array[0]);
-    const auto count = as_count(&entry.array[1]);
-    if (!index || *index >= obs::Histogram::kBuckets || !count) return false;
-    hist.add_bucket(static_cast<std::size_t>(*index), *count);
-  }
-  return true;
-}
-
-std::optional<std::string> read_metrics(const support::JsonValue* node,
-                                        support::MetricsSnapshot& metrics) {
-  if (node == nullptr || !node->is_object()) {
-    return std::string("wire: missing metrics object");
-  }
-  const auto read = [node](const char* name, std::uint64_t& field) {
-    const auto value = as_count(node->find(name));
-    if (!value) return false;
-    field = *value;
-    return true;
-  };
-  if (!read("sessions", metrics.sessions) ||
-      !read("plan_cache_hits", metrics.plan_cache_hits) ||
-      !read("plan_compiles", metrics.plan_compiles) ||
-      !read("patterns_generated", metrics.patterns_generated) ||
-      !read("dedup_accepted", metrics.dedup_accepted) ||
-      !read("dedup_rejected", metrics.dedup_rejected) ||
-      !read("ticks", metrics.ticks) ||
-      !read("scratch_reuse_hits", metrics.scratch_reuse_hits) ||
-      !read("sample_alloc_bytes_saved", metrics.sample_alloc_bytes_saved) ||
-      !read("wall_ns", metrics.wall_ns) ||
-      !read("worker_idle_ns", metrics.worker_idle_ns) ||
-      !read("worker_threads", metrics.worker_threads) ||
-      !read("fleet_shards", metrics.fleet_shards) ||
-      !read("fleet_retries", metrics.fleet_retries) ||
-      !read("fleet_corpus_merge_ns", metrics.fleet_corpus_merge_ns) ||
-      !read("fleet_shard_wall_max_ns", metrics.fleet_shard_wall_max_ns) ||
-      !read("fleet_shard_wall_min_ns", metrics.fleet_shard_wall_min_ns)) {
-    return std::string("wire: malformed metrics object");
-  }
-  const support::JsonValue* hist = node->find("hist");
-  if (hist == nullptr || !hist->is_object() ||
-      !read_histogram(hist->find("ticks"), metrics.ticks_hist) ||
-      !read_histogram(hist->find("session_wall_ns"),
-                      metrics.session_wall_hist) ||
-      !read_histogram(hist->find("corpus_merge_ns"),
-                      metrics.corpus_merge_hist) ||
-      !read_histogram(hist->find("frame_rtt_ns"), metrics.frame_rtt_hist) ||
-      !read_histogram(hist->find("transport_send_ns"),
-                      metrics.transport_send_hist)) {
-    return std::string("wire: malformed metrics histograms");
-  }
-  return std::nullopt;
-}
-
 std::optional<std::string> read_failure(const support::JsonValue& node,
                                         core::BugReport& report) {
   if (!node.is_object()) return std::string("wire: failure must be an object");
-  const auto kind = as_count(node.find("kind"));
-  const auto detected_at = as_count(node.find("detected_at"));
+  const auto kind = json_count(node.find("kind"));
+  const auto detected_at = json_count(node.find("detected_at"));
   const auto description = as_string(node.find("description"));
   const auto panic_reason = as_string(node.find("panic_reason"));
   const auto state_records = as_string(node.find("state_records"));
@@ -274,7 +154,7 @@ std::optional<std::string> read_failure(const support::JsonValue& node,
   report.trace_tail = *trace_tail;
   report.seed = *seed;
   for (const support::JsonValue& entry : culprits->array) {
-    const auto task = as_count(&entry);
+    const auto task = json_count(&entry);
     if (!task || *task > 0xff) {
       return std::string("wire: bad failure culprit");
     }
@@ -295,8 +175,8 @@ std::optional<std::string> read_coverage_state(
   if (!node.is_object()) {
     return std::string("wire: coverage state must be an object");
   }
-  const auto states_total = as_count(node.find("states_total"));
-  const auto transitions_total = as_count(node.find("transitions_total"));
+  const auto states_total = json_count(node.find("states_total"));
+  const auto transitions_total = json_count(node.find("transitions_total"));
   const support::JsonValue* states = node.find("states");
   const support::JsonValue* transitions = node.find("transitions");
   const support::JsonValue* ngrams = node.find("ngrams");
@@ -308,7 +188,7 @@ std::optional<std::string> read_coverage_state(
   state.states_total = static_cast<std::size_t>(*states_total);
   state.transitions_total = static_cast<std::size_t>(*transitions_total);
   for (const support::JsonValue& entry : states->array) {
-    const auto value = as_count(&entry);
+    const auto value = json_count(&entry);
     if (!value || *value > ~std::uint32_t{0}) {
       return std::string("wire: bad coverage state id");
     }
@@ -326,7 +206,7 @@ std::optional<std::string> read_coverage_state(
     std::vector<pfa::SymbolId> ngram;
     ngram.reserve(entry.array.size());
     for (const support::JsonValue& item : entry.array) {
-      const auto value = as_count(&item);
+      const auto value = json_count(&item);
       if (!value || *value > ~std::uint32_t{0}) {
         return std::string("wire: bad coverage ngram symbol");
       }
@@ -343,9 +223,9 @@ std::optional<std::string> read_campaign_result(
     return std::string("wire: missing result object");
   }
   const support::JsonValue* arm_stats = node->find("arm_stats");
-  const auto total_runs = as_count(node->find("total_runs"));
-  const auto total_detections = as_count(node->find("total_detections"));
-  const auto best_arm = as_count(node->find("best_arm"));
+  const auto total_runs = json_count(node->find("total_runs"));
+  const auto total_detections = json_count(node->find("total_detections"));
+  const auto best_arm = json_count(node->find("best_arm"));
   const support::JsonValue* failures = node->find("failures");
   const support::JsonValue* coverage = node->find("coverage");
   if (arm_stats == nullptr || !arm_stats->is_array() || !total_runs ||
@@ -357,8 +237,8 @@ std::optional<std::string> read_campaign_result(
     if (!entry.is_array() || entry.array.size() != 2) {
       return std::string("wire: arm stats must be [runs, detections]");
     }
-    const auto runs = as_count(&entry.array[0]);
-    const auto detections = as_count(&entry.array[1]);
+    const auto runs = json_count(&entry.array[0]);
+    const auto detections = json_count(&entry.array[1]);
     if (!runs || !detections) {
       return std::string("wire: arm stats must be [runs, detections]");
     }
@@ -379,19 +259,9 @@ std::optional<std::string> read_campaign_result(
     result.arm_coverage.push_back(state.report());
     result.arm_coverage_state.push_back(std::move(state));
   }
-  if (auto error = read_metrics(node->find("metrics"), result.metrics)) {
-    return error;
-  }
-  // The pfa_* aggregates rederive from the shipped coverage states, the
-  // same way run_impl derives them — kept off the wire so they cannot
-  // drift from the sets.
-  for (const pattern::CoverageReport& report : result.arm_coverage) {
-    result.metrics.pfa_states += report.states_total;
-    result.metrics.pfa_states_covered += report.states_covered;
-    result.metrics.pfa_transitions += report.transitions_total;
-    result.metrics.pfa_transitions_covered += report.transitions_covered;
-    result.metrics.pfa_ngrams += report.ngrams_observed;
-  }
+  auto metrics = support::MetricsSnapshot::read_json(node->find("metrics"));
+  if (!metrics.ok()) return "wire: " + metrics.error();
+  result.metrics = metrics.value();
   return std::nullopt;
 }
 
@@ -451,7 +321,7 @@ std::string encode(const ResultFrame& frame) {
     }
     out.end_array();
     out.key("metrics");
-    write_metrics(out, frame.result.metrics);
+    frame.result.metrics.write_json(out);
     out.end_object();
     out.key("corpus").value(frame.corpus_json);
   }
@@ -484,7 +354,7 @@ support::Result<DecodedFrame, std::string> decode(std::string_view text) {
   if (!parsed.ok()) return "wire: " + parsed.error();
   const support::JsonValue& root = parsed.value();
   if (!root.is_object()) return std::string("wire: frame is not an object");
-  const auto version = as_count(root.find("wire_version"));
+  const auto version = json_count(root.find("wire_version"));
   if (!version) return std::string("wire: missing wire_version");
   if (*version != kWireVersion) {
     return "wire: wire_version " + std::to_string(*version) +
@@ -505,12 +375,12 @@ support::Result<DecodedFrame, std::string> decode(std::string_view text) {
   }
   if (*kind == "assign") {
     frame.kind = FrameKind::kAssign;
-    const auto seq = as_count(root.find("seq"));
-    const auto shard = as_count(root.find("shard"));
-    const auto run_base = as_count(root.find("run_base"));
-    const auto sessions = as_count(root.find("sessions"));
+    const auto seq = json_count(root.find("seq"));
+    const auto shard = json_count(root.find("shard"));
+    const auto run_base = json_count(root.find("run_base"));
+    const auto sessions = json_count(root.find("sessions"));
     const auto scenario = as_string(root.find("scenario"));
-    const auto jobs = as_count(root.find("jobs"));
+    const auto jobs = json_count(root.find("jobs"));
     if (!seq || *seq > ~std::uint32_t{0} || !shard || !run_base || !sessions ||
         !scenario || scenario->empty() || !jobs || *jobs == 0) {
       return std::string("wire: malformed assign frame");
@@ -537,11 +407,11 @@ support::Result<DecodedFrame, std::string> decode(std::string_view text) {
   }
   if (*kind == "result") {
     frame.kind = FrameKind::kResult;
-    const auto seq = as_count(root.find("seq"));
-    const auto shard = as_count(root.find("shard"));
+    const auto seq = json_count(root.find("seq"));
+    const auto shard = json_count(root.find("shard"));
     const auto node = as_string(root.find("node"));
     const auto error = as_string(root.find("error"));
-    const auto wall_ns = as_count(root.find("wall_ns"));
+    const auto wall_ns = json_count(root.find("wall_ns"));
     if (!seq || *seq > ~std::uint32_t{0} || !shard || !node || !error ||
         !wall_ns) {
       return std::string("wire: malformed result frame");

@@ -47,9 +47,10 @@ namespace ptest::fleet {
 /// v2 added the campaign-end frame and the reporting worker's node id
 /// on result frames.  v3 added the trace request flag on assigns, the
 /// shipped trace fragment on results, and the fleet counters +
-/// histogram distributions in the metrics block (read_metrics is
-/// strict, so the new fields force the bump).
-inline constexpr std::uint64_t kWireVersion = 3;
+/// histogram distributions in the metrics block.  v4 replaced the
+/// metrics block with MetricsSnapshot::write_json's object (every field
+/// of the metrics table, pfa_* included, histograms as top-level keys).
+inline constexpr std::uint64_t kWireVersion = 4;
 
 enum class FrameKind : std::uint8_t {
   kAssign,

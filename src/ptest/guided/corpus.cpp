@@ -11,6 +11,8 @@ namespace ptest::guided {
 
 namespace {
 
+using support::json_count;
+
 std::string hex64(std::uint64_t value) {
   char buffer[17];
   std::snprintf(buffer, sizeof buffer, "%016llx",
@@ -37,29 +39,12 @@ std::optional<std::uint64_t> parse_hex64(std::string_view text) {
   return value;
 }
 
-/// Non-negative integral number (corpus counters are counts; a double
-/// that is not an exact integer marks a corrupt file).
-std::optional<std::uint64_t> as_count(const support::JsonValue* value) {
-  if (value == nullptr || !value->is_number()) return std::nullopt;
-  const double number = value->number;
-  // Range-check BEFORE the cast: float-to-integer conversion of a value
-  // outside [0, 2^64) — including NaN — is undefined behavior, and a
-  // hand-edited corpus can hold any number.  !(>= 0) also rejects NaN.
-  if (!(number >= 0.0) || number >= 18446744073709551616.0) {
-    return std::nullopt;
-  }
-  if (number != static_cast<double>(static_cast<std::uint64_t>(number))) {
-    return std::nullopt;
-  }
-  return static_cast<std::uint64_t>(number);
-}
-
 /// One [state, symbol] pair; nullopt on any shape or range violation.
 std::optional<std::pair<std::uint32_t, pfa::SymbolId>> as_transition(
     const support::JsonValue& entry) {
   if (!entry.is_array() || entry.array.size() != 2) return std::nullopt;
-  const auto state = as_count(&entry.array[0]);
-  const auto symbol = as_count(&entry.array[1]);
+  const auto state = json_count(&entry.array[0]);
+  const auto symbol = json_count(&entry.array[1]);
   if (!state || !symbol || *state > ~std::uint32_t{0} ||
       *symbol > ~std::uint32_t{0}) {
     return std::nullopt;
@@ -241,7 +226,7 @@ support::Result<CoverageCorpus, std::string> CoverageCorpus::from_json(
   const support::JsonValue& root = parsed.value();
   if (!root.is_object()) return std::string("corpus: document is not an object");
 
-  const auto version = as_count(root.find("format_version"));
+  const auto version = json_count(root.find("format_version"));
   if (!version) return std::string("corpus: missing format_version");
   if (*version != kFormatVersion) {
     return "corpus: format_version " + std::to_string(*version) +
@@ -274,9 +259,9 @@ support::Result<CoverageCorpus, std::string> CoverageCorpus::from_json(
         return std::string(
             "corpus: span entries must be [base, sessions, detections]");
       }
-      const auto base = as_count(&entry.array[0]);
-      const auto span_sessions = as_count(&entry.array[1]);
-      const auto span_detections = as_count(&entry.array[2]);
+      const auto base = json_count(&entry.array[0]);
+      const auto span_sessions = json_count(&entry.array[1]);
+      const auto span_detections = json_count(&entry.array[2]);
       if (!base || !span_sessions || !span_detections ||
           *span_sessions == 0 ||
           *span_sessions > ~std::uint64_t{0} - *base) {
@@ -326,9 +311,9 @@ support::Result<CoverageCorpus, std::string> CoverageCorpus::from_json(
   for (const support::JsonValue& entry : epochs->array) {
     if (!entry.is_object()) return std::string("corpus: epochs must be objects");
     EpochRecord record;
-    const auto sessions = as_count(entry.find("sessions"));
-    const auto detections = as_count(entry.find("detections"));
-    const auto new_fingerprints = as_count(entry.find("new_fingerprints"));
+    const auto sessions = json_count(entry.find("sessions"));
+    const auto detections = json_count(entry.find("detections"));
+    const auto new_fingerprints = json_count(entry.find("new_fingerprints"));
     const support::JsonValue* epoch_transitions = entry.find("transitions");
     const support::JsonValue* coverage = entry.find("transition_coverage");
     if (!sessions || !detections || !new_fingerprints ||
@@ -365,8 +350,8 @@ support::Result<CoverageCorpus, std::string> CoverageCorpus::from_json(
   // ones double-check them so a hand-edited file that disagrees with
   // its own records is rejected.
   corpus.recompute_totals();
-  const auto sessions = as_count(root.find("sessions"));
-  const auto detections = as_count(root.find("detections"));
+  const auto sessions = json_count(root.find("sessions"));
+  const auto detections = json_count(root.find("detections"));
   if (!sessions || !detections) {
     return std::string("corpus: missing sessions/detections totals");
   }

@@ -53,7 +53,7 @@ struct MergerOptions {
   /// before any task's cleanup (TD/TY) runs — the "several sets of cyclic
   /// execution sequences" of case study 2.  Empty = chunks bounded only by
   /// max_chunk (degenerates toward round robin).
-  std::vector<pfa::SymbolId> cyclic_break_symbols;
+  std::vector<pfa::SymbolId> cyclic_break_symbols{};
   /// For kCyclic: upper bound on a chunk when no break symbol appears.
   /// 0 = unbounded — a chunk runs until a break symbol or the pattern's
   /// end (with no break symbols that degenerates to kSequential).

@@ -49,11 +49,13 @@ class SharedSram {
   }
 
  private:
+  // Written so no sum can wrap: offset comes from callers and may be
+  // anything up to SIZE_MAX.
   void check(std::size_t offset, std::size_t size) const {
-    if (offset + size > bytes_.size()) {
-      throw std::out_of_range("SharedSram: access [" + std::to_string(offset) +
-                              ", " + std::to_string(offset + size) +
-                              ") beyond size " + std::to_string(bytes_.size()));
+    if (size > bytes_.size() || offset > bytes_.size() - size) {
+      throw std::out_of_range("SharedSram: access of " + std::to_string(size) +
+                              " bytes at " + std::to_string(offset) +
+                              " beyond size " + std::to_string(bytes_.size()));
     }
   }
 

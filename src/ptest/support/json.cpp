@@ -437,4 +437,20 @@ Result<JsonValue, std::string> parse_json(std::string_view text) {
   return JsonParser(text).parse();
 }
 
+std::optional<std::uint64_t> json_count(const JsonValue* value) {
+  if (value == nullptr || !value->is_number()) return std::nullopt;
+  const double number = value->number;
+  // Range-check BEFORE the cast: float-to-integer conversion of a value
+  // outside [0, 2^64) — including NaN — is undefined behavior, and a
+  // document from outside the process can hold any number.  !(>= 0)
+  // also rejects NaN.
+  if (!(number >= 0.0) || number >= 18446744073709551616.0) {
+    return std::nullopt;
+  }
+  if (number != static_cast<double>(static_cast<std::uint64_t>(number))) {
+    return std::nullopt;
+  }
+  return static_cast<std::uint64_t>(number);
+}
+
 }  // namespace ptest::support

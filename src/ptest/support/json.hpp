@@ -31,6 +31,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -136,5 +137,11 @@ struct JsonValue {
 /// escapes JsonWriter produces are ASCII; other \u codes below 0x800 are
 /// decoded to UTF-8, surrogates are rejected).
 [[nodiscard]] Result<JsonValue, std::string> parse_json(std::string_view text);
+
+/// A non-negative integral number; nullopt for a missing node, a
+/// non-number, a fraction, or anything outside [0, 2^64).  The project's
+/// documents are machine-written and hold only such counts, so any other
+/// value marks corruption.
+[[nodiscard]] std::optional<std::uint64_t> json_count(const JsonValue* value);
 
 }  // namespace ptest::support

@@ -1,12 +1,17 @@
-// Lightweight perf counters for the campaign hot path.
+// The campaign perf counter record.
 //
 // A Campaign runs thousands of sessions across a WorkerPool; until now
 // the only observable output was the detection table, so claims like
 // "the plan cache is ~2x" or "jobs=4 keeps the workers busy" could not
-// be checked from a run's artifacts.  Metrics is the counter set the
-// hot path updates (cheap relaxed atomics, safe from any thread) and
-// MetricsSnapshot the plain-value copy that results, reports, and the
-// benchmark JSON carry.
+// be checked from a run's artifacts.  MetricsSnapshot is the one record
+// that campaigns fill, results and reports carry, shards ship over the
+// fleet wire, and the coordinator merges.  It is a plain value: each
+// campaign adds into a local record on the one thread that merges its
+// session outcomes, so no field needs to be atomic.
+//
+// kMetricsCounters / kMetricsHistograms below list every field once,
+// with its JSON key and how merge() folds it; merge(), write_json(),
+// read_json() and the raw lines of render() all walk that table.
 //
 // The counters are split in two classes with different determinism:
 //   - work counters (sessions, plan_cache_hits, plan_compiles,
@@ -17,8 +22,8 @@
 //     `ptest_cli --jobs N` vs serial) must compare only the former.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
+#include <iterator>
 #include <string>
 
 // Header-only and dependency-free by design (see obs/histogram.hpp), so
@@ -26,10 +31,11 @@
 // at link time.
 #include "ptest/obs/histogram.hpp"
 #include "ptest/support/json.hpp"
+#include "ptest/support/result.hpp"
 
 namespace ptest::support {
 
-/// Plain-value copy of a Metrics counter set at one point in time.
+/// The campaign's perf counters and distributions.
 struct MetricsSnapshot {
   // Work counters (deterministic given seed/config).
   std::uint64_t sessions = 0;            ///< sessions executed
@@ -130,66 +136,100 @@ struct MetricsSnapshot {
            static_cast<double>(floor_min);
   }
 
-  /// Human-readable block, one "  name: value" line per counter.
+  /// Folds `other` into this record, field by field, as the table
+  /// below says.  An all-zero record is the identity: merging into one
+  /// copies `other`, which is what gives kFirst and kMin their first
+  /// value.
+  void merge(const MetricsSnapshot& other);
+
+  /// Human-readable block: one "  name value" line per nonzero counter
+  /// and non-empty histogram, then the derived ratios and rates.
   [[nodiscard]] std::string render() const;
 
-  /// Emits the counters as one JSON object value (caller supplies the
-  /// surrounding key()/array slot).
+  /// Emits every table field as one JSON object value (caller supplies
+  /// the surrounding key()/array slot): counters as numbers, histograms
+  /// as sparse [bucket, count] pairs.
   void write_json(JsonWriter& out) const;
+
+  /// Inverse of write_json.  The object may come from another process
+  /// (fleet result frames), so every table key must be present with a
+  /// non-negative integral value and every bucket index in range.
+  [[nodiscard]] static Result<MetricsSnapshot, std::string> read_json(
+      const JsonValue* node);
+
+  friend bool operator==(const MetricsSnapshot&,
+                         const MetricsSnapshot&) = default;
 };
 
-/// Thread-safe counter set; relaxed atomics — totals are exact, but no
-/// cross-counter consistency is promised while writers are running.
-class Metrics {
- public:
-  void add_sessions(std::uint64_t n = 1) noexcept { add(sessions_, n); }
-  void add_plan_cache_hits(std::uint64_t n = 1) noexcept {
-    add(plan_cache_hits_, n);
-  }
-  void add_plan_compiles(std::uint64_t n = 1) noexcept {
-    add(plan_compiles_, n);
-  }
-  void add_patterns_generated(std::uint64_t n) noexcept {
-    add(patterns_generated_, n);
-  }
-  void add_dedup_accepted(std::uint64_t n) noexcept { add(dedup_accepted_, n); }
-  void add_dedup_rejected(std::uint64_t n) noexcept { add(dedup_rejected_, n); }
-  void add_ticks(std::uint64_t n) noexcept { add(ticks_, n); }
-  void add_scratch_reuse_hits(std::uint64_t n) noexcept {
-    add(scratch_reuse_hits_, n);
-  }
-  void add_sample_alloc_bytes_saved(std::uint64_t n) noexcept {
-    add(sample_alloc_bytes_saved_, n);
-  }
-  void add_wall_ns(std::uint64_t n) noexcept { add(wall_ns_, n); }
-  void add_worker_idle_ns(std::uint64_t n) noexcept {
-    add(worker_idle_ns_, n);
-  }
-  void set_worker_threads(std::uint64_t n) noexcept {
-    worker_threads_.store(n, std::memory_order_relaxed);
-  }
-
-  [[nodiscard]] MetricsSnapshot snapshot() const noexcept;
-  void reset() noexcept;
-
- private:
-  using Counter = std::atomic<std::uint64_t>;
-  static void add(Counter& counter, std::uint64_t n) noexcept {
-    counter.fetch_add(n, std::memory_order_relaxed);
-  }
-
-  Counter sessions_{0};
-  Counter plan_cache_hits_{0};
-  Counter plan_compiles_{0};
-  Counter patterns_generated_{0};
-  Counter dedup_accepted_{0};
-  Counter dedup_rejected_{0};
-  Counter ticks_{0};
-  Counter scratch_reuse_hits_{0};
-  Counter sample_alloc_bytes_saved_{0};
-  Counter wall_ns_{0};
-  Counter worker_idle_ns_{0};
-  Counter worker_threads_{0};
+/// How merge() folds one counter of two records.
+enum class MetricsMerge : std::uint8_t {
+  kSum,    ///< totals over the merged records
+  kMax,    ///< largest value
+  kMin,    ///< smallest value
+  kFirst,  ///< the first record's value (every shard compiles one plan)
 };
+
+struct MetricsCounter {
+  const char* key;
+  std::uint64_t MetricsSnapshot::*field;
+  MetricsMerge merge;
+};
+
+/// Histograms always merge bucket-wise.
+struct MetricsHistogram {
+  const char* key;
+  obs::Histogram MetricsSnapshot::*field;
+};
+
+/// The field table.  Adding a metric is one row here plus the line that
+/// records it; merge, JSON, the fleet wire and render() follow.
+inline constexpr MetricsCounter kMetricsCounters[] = {
+    {"sessions", &MetricsSnapshot::sessions, MetricsMerge::kSum},
+    {"plan_cache_hits", &MetricsSnapshot::plan_cache_hits, MetricsMerge::kSum},
+    {"plan_compiles", &MetricsSnapshot::plan_compiles, MetricsMerge::kFirst},
+    {"patterns_generated", &MetricsSnapshot::patterns_generated,
+     MetricsMerge::kSum},
+    {"dedup_accepted", &MetricsSnapshot::dedup_accepted, MetricsMerge::kSum},
+    {"dedup_rejected", &MetricsSnapshot::dedup_rejected, MetricsMerge::kSum},
+    {"ticks", &MetricsSnapshot::ticks, MetricsMerge::kSum},
+    {"scratch_reuse_hits", &MetricsSnapshot::scratch_reuse_hits,
+     MetricsMerge::kSum},
+    {"sample_alloc_bytes_saved", &MetricsSnapshot::sample_alloc_bytes_saved,
+     MetricsMerge::kSum},
+    {"pfa_states", &MetricsSnapshot::pfa_states, MetricsMerge::kSum},
+    {"pfa_states_covered", &MetricsSnapshot::pfa_states_covered,
+     MetricsMerge::kSum},
+    {"pfa_transitions", &MetricsSnapshot::pfa_transitions, MetricsMerge::kSum},
+    {"pfa_transitions_covered", &MetricsSnapshot::pfa_transitions_covered,
+     MetricsMerge::kSum},
+    {"pfa_ngrams", &MetricsSnapshot::pfa_ngrams, MetricsMerge::kSum},
+    {"epochs", &MetricsSnapshot::epochs, MetricsMerge::kSum},
+    {"plan_refinements", &MetricsSnapshot::plan_refinements,
+     MetricsMerge::kSum},
+    {"wall_ns", &MetricsSnapshot::wall_ns, MetricsMerge::kSum},
+    {"worker_idle_ns", &MetricsSnapshot::worker_idle_ns, MetricsMerge::kSum},
+    {"worker_threads", &MetricsSnapshot::worker_threads, MetricsMerge::kMax},
+    {"fleet_shards", &MetricsSnapshot::fleet_shards, MetricsMerge::kSum},
+    {"fleet_retries", &MetricsSnapshot::fleet_retries, MetricsMerge::kSum},
+    {"fleet_corpus_merge_ns", &MetricsSnapshot::fleet_corpus_merge_ns,
+     MetricsMerge::kSum},
+    {"fleet_shard_wall_max_ns", &MetricsSnapshot::fleet_shard_wall_max_ns,
+     MetricsMerge::kMax},
+    {"fleet_shard_wall_min_ns", &MetricsSnapshot::fleet_shard_wall_min_ns,
+     MetricsMerge::kMin},
+};
+
+inline constexpr MetricsHistogram kMetricsHistograms[] = {
+    {"ticks_hist", &MetricsSnapshot::ticks_hist},
+    {"session_wall_hist", &MetricsSnapshot::session_wall_hist},
+    {"corpus_merge_hist", &MetricsSnapshot::corpus_merge_hist},
+    {"frame_rtt_hist", &MetricsSnapshot::frame_rtt_hist},
+    {"transport_send_hist", &MetricsSnapshot::transport_send_hist},
+};
+
+static_assert(sizeof(MetricsSnapshot) ==
+                  std::size(kMetricsCounters) * sizeof(std::uint64_t) +
+                      std::size(kMetricsHistograms) * sizeof(obs::Histogram),
+              "every MetricsSnapshot field needs a row in the field table");
 
 }  // namespace ptest::support

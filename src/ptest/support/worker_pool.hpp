@@ -76,7 +76,7 @@ class WorkerPool {
                     const std::function<void(std::size_t, std::size_t)>& fn);
 
   /// Cumulative nanoseconds workers spent parked waiting for work (the
-  /// support::Metrics `worker_idle_ns` counter).  Monotone over the
+  /// support::MetricsSnapshot `worker_idle_ns` counter).  Monotone over the
   /// pool's lifetime; sample it before/after a region to attribute idle
   /// time to that region.  Time spent blocked in the final shutdown
   /// wait (destructor) is not counted.

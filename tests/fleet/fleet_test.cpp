@@ -11,6 +11,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -183,15 +184,9 @@ TEST(Wire, ResultFrameCarriesARealCampaignResult) {
   }
   ASSERT_EQ(r.arm_coverage_state.size(), 1u);
   EXPECT_EQ(r.arm_coverage_state[0], result.arm_coverage_state[0]);
-  const support::MetricsSnapshot& m = r.metrics;
-  EXPECT_EQ(m.sessions, result.metrics.sessions);
-  EXPECT_EQ(m.patterns_generated, result.metrics.patterns_generated);
-  EXPECT_EQ(m.dedup_accepted, result.metrics.dedup_accepted);
-  EXPECT_EQ(m.dedup_rejected, result.metrics.dedup_rejected);
-  EXPECT_EQ(m.ticks, result.metrics.ticks);
-  EXPECT_EQ(m.plan_compiles, result.metrics.plan_compiles);
-  EXPECT_EQ(m.plan_cache_hits, result.metrics.plan_cache_hits);
-  EXPECT_EQ(m.pfa_transitions_covered, result.metrics.pfa_transitions_covered);
+  // Every counter and histogram, timing class included.
+  EXPECT_TRUE(r.metrics == result.metrics);
+  EXPECT_FALSE(r.metrics.ticks_hist.empty());
 }
 
 TEST(Wire, DecodeRejectsGarbageAndWrongVersions) {
@@ -205,6 +200,30 @@ TEST(Wire, DecodeRejectsGarbageAndWrongVersions) {
   EXPECT_FALSE(decode(R"({"wire_version": 2, "kind": "mystery"})").ok());
   // An assign without a scenario is malformed, not defaulted.
   EXPECT_FALSE(decode(R"({"wire_version": 2, "kind": "assign"})").ok());
+  // v3 result frames carried a different metrics block.
+  EXPECT_FALSE(decode(R"({"wire_version": 3, "kind": "shutdown"})").ok());
+
+  // A result frame whose metrics block lost a field, carries a non-count,
+  // or names a histogram bucket past the fixed layout is corrupt.
+  ResultFrame frame;
+  frame.result.metrics.sessions = 5;
+  frame.result.metrics.ticks_hist.record(100);  // bucket 7
+  const std::string text = encode(frame);
+  ASSERT_TRUE(decode(text).ok());
+  const auto replaced = [&text](std::string_view from, std::string_view to) {
+    std::string out = text;
+    const std::size_t at = out.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    if (at != std::string::npos) out.replace(at, from.size(), to);
+    return out;
+  };
+  EXPECT_FALSE(
+      decode(replaced("\"wire_version\":4", "\"wire_version\":3")).ok());
+  EXPECT_FALSE(decode(replaced("\"sessions\":5,", "")).ok());
+  EXPECT_FALSE(decode(replaced("\"sessions\":5", "\"sessions\":-5")).ok());
+  EXPECT_FALSE(
+      decode(replaced("\"sessions\":5", "\"sessions\":\"5\"")).ok());
+  EXPECT_FALSE(decode(replaced("[[7,1]]", "[[64,1]]")).ok());
 }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace ptest::sim {
 namespace {
 
@@ -23,6 +25,10 @@ TEST(SharedSramTest, BoundsChecked) {
   EXPECT_THROW(sram.write<std::uint32_t>(13, 1), std::out_of_range);
   EXPECT_THROW((void)sram.read<std::uint64_t>(9), std::out_of_range);
   EXPECT_NO_THROW(sram.write<std::uint32_t>(12, 1));
+  // offset + size wraps past SIZE_MAX; still out of range, not a read.
+  const std::size_t huge = std::numeric_limits<std::size_t>::max() - 1;
+  EXPECT_THROW((void)sram.read<std::uint32_t>(huge), std::out_of_range);
+  EXPECT_THROW(sram.write<std::uint32_t>(huge, 1), std::out_of_range);
 }
 
 TEST(SharedSramTest, ReserveReturnsAlignedDisjointRegions) {
@@ -38,6 +44,12 @@ TEST(SharedSramTest, ReserveExhaustionThrows) {
   SharedSram sram(64);
   (void)sram.reserve(60);
   EXPECT_THROW((void)sram.reserve(8), std::length_error);
+  // A size whose end wraps past SIZE_MAX must not hand out a region
+  // overlapping the ones already reserved.
+  EXPECT_THROW(
+      (void)sram.reserve(std::numeric_limits<std::size_t>::max() - 4, 1),
+      std::length_error);
+  EXPECT_EQ(sram.available(), 4u);
 }
 
 TEST(SharedSramTest, ReserveRejectsBadAlignment) {

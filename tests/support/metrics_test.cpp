@@ -1,42 +1,26 @@
-// support::Metrics / MetricsSnapshot — the campaign perf counter set.
+// support::MetricsSnapshot — the campaign perf counter record and its
+// field table (merge, JSON, fleet wire, render).
 #include "ptest/support/metrics.hpp"
 
 #include <gtest/gtest.h>
 
-#include <map>
+#include <cstddef>
+#include <iterator>
 #include <string>
-#include <thread>
+#include <string_view>
 #include <vector>
+
+#include "ptest/fleet/wire.hpp"
 
 namespace ptest::support {
 namespace {
 
-TEST(Metrics, SnapshotReflectsCounters) {
-  Metrics metrics;
-  metrics.add_sessions(3);
-  metrics.add_plan_cache_hits(2);
-  metrics.add_plan_compiles();
-  metrics.add_patterns_generated(12);
-  metrics.add_dedup_accepted(10);
-  metrics.add_dedup_rejected(5);
-  metrics.add_ticks(3'000'000);
-  metrics.add_scratch_reuse_hits(11);
-  metrics.add_sample_alloc_bytes_saved(4096);
-  metrics.add_wall_ns(2'000'000'000);  // 2 s
-  metrics.add_worker_idle_ns(500'000'000);
-  metrics.set_worker_threads(4);
-
-  const MetricsSnapshot snap = metrics.snapshot();
-  EXPECT_EQ(snap.sessions, 3u);
-  EXPECT_EQ(snap.plan_cache_hits, 2u);
-  EXPECT_EQ(snap.plan_compiles, 1u);
-  EXPECT_EQ(snap.patterns_generated, 12u);
-  EXPECT_EQ(snap.dedup_accepted, 10u);
-  EXPECT_EQ(snap.dedup_rejected, 5u);
-  EXPECT_EQ(snap.ticks, 3'000'000u);
-  EXPECT_EQ(snap.scratch_reuse_hits, 11u);
-  EXPECT_EQ(snap.sample_alloc_bytes_saved, 4096u);
-  EXPECT_EQ(snap.worker_threads, 4u);
+TEST(Metrics, DerivedRatesFollowTheCounters) {
+  MetricsSnapshot snap;
+  snap.sessions = 3;
+  snap.ticks = 3'000'000;
+  snap.wall_ns = 2'000'000'000;  // 2 s
+  snap.worker_idle_ns = 500'000'000;
   EXPECT_DOUBLE_EQ(snap.wall_seconds(), 2.0);
   EXPECT_DOUBLE_EQ(snap.sessions_per_second(), 1.5);
   EXPECT_DOUBLE_EQ(snap.interleavings_per_sec(), 1'500'000.0);
@@ -47,42 +31,6 @@ TEST(Metrics, ZeroWallTimeMeansZeroThroughput) {
   const MetricsSnapshot snap;
   EXPECT_DOUBLE_EQ(snap.sessions_per_second(), 0.0);
   EXPECT_DOUBLE_EQ(snap.interleavings_per_sec(), 0.0);
-}
-
-TEST(Metrics, ResetClearsEverything) {
-  Metrics metrics;
-  metrics.add_sessions(7);
-  metrics.add_ticks(99);
-  metrics.add_scratch_reuse_hits(3);
-  metrics.add_sample_alloc_bytes_saved(512);
-  metrics.add_wall_ns(123);
-  metrics.reset();
-  const MetricsSnapshot snap = metrics.snapshot();
-  EXPECT_EQ(snap.sessions, 0u);
-  EXPECT_EQ(snap.ticks, 0u);
-  EXPECT_EQ(snap.scratch_reuse_hits, 0u);
-  EXPECT_EQ(snap.sample_alloc_bytes_saved, 0u);
-  EXPECT_EQ(snap.wall_ns, 0u);
-}
-
-TEST(Metrics, ConcurrentIncrementsAreExact) {
-  Metrics metrics;
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 10000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&metrics] {
-      for (int i = 0; i < kPerThread; ++i) {
-        metrics.add_sessions();
-        metrics.add_patterns_generated(2);
-      }
-    });
-  }
-  for (auto& thread : threads) thread.join();
-  const MetricsSnapshot snap = metrics.snapshot();
-  EXPECT_EQ(snap.sessions, static_cast<std::uint64_t>(kThreads * kPerThread));
-  EXPECT_EQ(snap.patterns_generated,
-            static_cast<std::uint64_t>(2 * kThreads * kPerThread));
 }
 
 TEST(MetricsSnapshot, RenderListsEveryCounter) {
@@ -122,9 +70,7 @@ TEST(MetricsSnapshot, WriteJsonEmitsOneObject) {
   snap.write_json(out);
   EXPECT_EQ(out.depth(), 0u);
   EXPECT_NE(out.str().find("\"sessions\":8"), std::string::npos);
-  EXPECT_NE(out.str().find("\"sessions_per_second\":8"), std::string::npos);
-  EXPECT_NE(out.str().find("\"interleavings_per_sec\":16"),
-            std::string::npos);
+  EXPECT_NE(out.str().find("\"wall_ns\":1000000000"), std::string::npos);
 }
 
 TEST(MetricsSnapshot, HistogramsRenderOnlyWhenPopulated) {
@@ -137,49 +83,40 @@ TEST(MetricsSnapshot, HistogramsRenderOnlyWhenPopulated) {
   EXPECT_NE(text.find("n=2"), std::string::npos);
   EXPECT_NE(text.find("p50="), std::string::npos);
   EXPECT_NE(text.find("p99="), std::string::npos);
-  // JSON always carries the histogram objects, sparse-bucketed.
+  // JSON always carries every histogram, as sparse [bucket, count] pairs.
   JsonWriter out(0);
   snap.write_json(out);
-  EXPECT_NE(out.str().find("\"ticks_hist\":{\"count\":2"), std::string::npos);
-  EXPECT_NE(out.str().find("\"buckets\":[[7,1],[8,1]]"), std::string::npos);
+  EXPECT_NE(out.str().find("\"ticks_hist\":[[7,1],[8,1]]"),
+            std::string::npos);
+  EXPECT_NE(out.str().find("\"frame_rtt_hist\":[]"), std::string::npos);
 }
 
-// The audit: write_json's key set is pinned, and every key maps to a
-// line in render() (through an alias map where the human block uses a
-// different unit or a combined label).  Adding a MetricsSnapshot field
-// to one surface but not the other fails here, not in a downstream
-// dashboard.
-TEST(MetricsSnapshot, WriteJsonAndRenderStayInSync) {
+JsonValue json(std::string_view text) { return parse_json(text).value(); }
+
+// Every field of the table with a distinct nonzero value, and every
+// histogram non-empty (distinct buckets per histogram).
+MetricsSnapshot fully_populated() {
   MetricsSnapshot snap;
-  snap.sessions = 1;
-  snap.plan_cache_hits = 2;
-  snap.plan_compiles = 3;
-  snap.patterns_generated = 4;
-  snap.dedup_accepted = 5;
-  snap.dedup_rejected = 6;
-  snap.ticks = 7;
-  snap.scratch_reuse_hits = 8;
-  snap.sample_alloc_bytes_saved = 9;
-  snap.pfa_states = 10;
-  snap.pfa_states_covered = 10;
-  snap.pfa_transitions = 11;
-  snap.pfa_transitions_covered = 11;
-  snap.pfa_ngrams = 12;
-  snap.epochs = 13;
-  snap.plan_refinements = 14;
-  snap.wall_ns = 15;
-  snap.worker_idle_ns = 16;
-  snap.worker_threads = 17;
-  snap.fleet_shards = 18;
-  snap.fleet_retries = 19;
-  snap.fleet_corpus_merge_ns = 20;
-  snap.fleet_shard_wall_max_ns = 21;
-  snap.fleet_shard_wall_min_ns = 22;
-  snap.ticks_hist.record(1);
-  snap.session_wall_hist.record(2);
-  snap.corpus_merge_hist.record(3);
-  snap.frame_rtt_hist.record(4);
-  snap.transport_send_hist.record(5);
+  std::uint64_t next = 1;
+  for (const MetricsCounter& counter : kMetricsCounters) {
+    snap.*counter.field = next++;
+  }
+  for (const MetricsHistogram& histogram : kMetricsHistograms) {
+    (snap.*histogram.field).record(next);
+    (snap.*histogram.field).record(next * 1000);
+    (snap.*histogram.field).record(0);
+    ++next;
+  }
+  return snap;
+}
+
+// The audit over the field table: every field survives write_json ->
+// read_json and a fleet result frame exactly, appears in render(), and
+// read_json rejects the object when any single field is missing or
+// garbled.  A field added to the struct without a table row fails the
+// static_assert in metrics.hpp; a row added here is covered by this loop.
+TEST(MetricsSnapshot, WriteJsonAndRenderStayInSync) {
+  const MetricsSnapshot snap = fully_populated();
 
   JsonWriter out(0);
   snap.write_json(out);
@@ -187,64 +124,95 @@ TEST(MetricsSnapshot, WriteJsonAndRenderStayInSync) {
   ASSERT_TRUE(parsed.ok()) << parsed.error();
   const JsonValue& doc = parsed.value();
   ASSERT_TRUE(doc.is_object());
+  EXPECT_EQ(doc.object.size(),
+            std::size(kMetricsCounters) + std::size(kMetricsHistograms));
+  auto decoded = MetricsSnapshot::read_json(&doc);
+  ASSERT_TRUE(decoded.ok()) << decoded.error();
+  EXPECT_TRUE(decoded.value() == snap);
 
-  const std::vector<std::string> expected_keys = {
-      "sessions",
-      "plan_cache_hits",
-      "plan_compiles",
-      "patterns_generated",
-      "dedup_accepted",
-      "dedup_rejected",
-      "ticks",
-      "scratch_reuse_hits",
-      "sample_alloc_bytes_saved",
-      "pfa_states",
-      "pfa_states_covered",
-      "pfa_transitions",
-      "pfa_transitions_covered",
-      "pfa_ngrams",
-      "epochs",
-      "plan_refinements",
-      "fleet_shards",
-      "fleet_retries",
-      "fleet_corpus_merge_ms",
-      "fleet_shard_wall_max_ns",
-      "fleet_shard_wall_min_ns",
-      "fleet_shard_imbalance",
-      "ticks_hist",
-      "session_wall_hist",
-      "corpus_merge_hist",
-      "frame_rtt_hist",
-      "transport_send_hist",
-      "wall_seconds",
-      "sessions_per_second",
-      "interleavings_per_sec",
-      "worker_idle_seconds",
-      "worker_threads",
-  };
-  ASSERT_EQ(doc.object.size(), expected_keys.size());
-  for (std::size_t i = 0; i < expected_keys.size(); ++i) {
-    EXPECT_EQ(doc.object[i].first, expected_keys[i]) << "json key " << i;
-  }
+  fleet::ResultFrame frame;
+  frame.result.metrics = snap;
+  auto wire = fleet::decode(fleet::encode(frame));
+  ASSERT_TRUE(wire.ok()) << wire.error();
+  EXPECT_TRUE(wire.value().result.result.metrics == snap);
 
-  // JSON key -> render label where they differ (unit conversions and
-  // the combined covered/total coverage lines).
-  const std::map<std::string, std::string> render_alias = {
-      {"pfa_states", "pfa_state_coverage"},
-      {"pfa_states_covered", "pfa_state_coverage"},
-      {"pfa_transitions", "pfa_transition_coverage"},
-      {"pfa_transitions_covered", "pfa_transition_coverage"},
-      {"fleet_shard_wall_max_ns", "fleet_shard_wall_max_ms"},
-      {"fleet_shard_wall_min_ns", "fleet_shard_wall_min_ms"},
-  };
   const std::string text = snap.render();
-  for (const auto& [key, value] : doc.object) {
-    const auto alias = render_alias.find(key);
-    const std::string& label = alias == render_alias.end() ? key
-                                                           : alias->second;
-    EXPECT_NE(text.find(label), std::string::npos)
-        << "render() is missing a line for write_json key '" << key << "'";
+  // Garbage for counters, and for histograms: a bucket index past the
+  // fixed layout, a negative count, a bare number instead of a pair.
+  const std::vector<JsonValue> bad_counters = {json("\"7\""), json("1.5"),
+                                               json("-1"), json("[]")};
+  const std::vector<JsonValue> bad_histograms = {
+      json("7"), json("[[64,1]]"), json("[[3,-1]]"), json("[7]"),
+      json("[[1,2,3]]")};
+
+  for (std::size_t i = 0; i < doc.object.size(); ++i) {
+    const std::string& key = doc.object[i].first;
+    const bool is_histogram = doc.object[i].second.is_array();
+    EXPECT_NE(text.find("\n  " + key + " "), std::string::npos)
+        << "render() has no line for '" << key << "'";
+
+    JsonValue missing = doc;
+    missing.object.erase(missing.object.begin() +
+                         static_cast<std::ptrdiff_t>(i));
+    EXPECT_FALSE(MetricsSnapshot::read_json(&missing).ok())
+        << "accepted an object without '" << key << "'";
+
+    for (const JsonValue& bad :
+         is_histogram ? bad_histograms : bad_counters) {
+      JsonValue garbled = doc;
+      garbled.object[i].second = bad;
+      EXPECT_FALSE(MetricsSnapshot::read_json(&garbled).ok())
+          << "accepted a garbled '" << key << "'";
+    }
   }
+  EXPECT_FALSE(MetricsSnapshot::read_json(nullptr).ok());
+}
+
+TEST(MetricsSnapshot, MergingTwoHalvesGivesTheWhole) {
+  MetricsSnapshot first;
+  MetricsSnapshot second;
+  MetricsSnapshot whole;
+  std::size_t non_sum_rows = 0;
+  std::uint64_t next = 1;
+  for (const MetricsCounter& counter : kMetricsCounters) {
+    if (counter.merge != MetricsMerge::kSum) {
+      ++non_sum_rows;
+      continue;
+    }
+    first.*counter.field = next;
+    second.*counter.field = 100 * next;
+    whole.*counter.field = 101 * next;
+    ++next;
+  }
+  // The rows that do not sum, by name.  A new one must be added here.
+  EXPECT_EQ(non_sum_rows, 4u);
+  first.plan_compiles = 1;  // kFirst: every shard compiled the same plan
+  second.plan_compiles = 3;
+  whole.plan_compiles = 1;
+  first.worker_threads = 2;  // kMax
+  second.worker_threads = 4;
+  whole.worker_threads = 4;
+  first.fleet_shard_wall_max_ns = 300;  // kMax
+  second.fleet_shard_wall_max_ns = 500;
+  whole.fleet_shard_wall_max_ns = 500;
+  first.fleet_shard_wall_min_ns = 300;  // kMin
+  second.fleet_shard_wall_min_ns = 100;
+  whole.fleet_shard_wall_min_ns = 100;
+  for (std::uint64_t value = 1; value <= 8; ++value) {
+    for (const MetricsHistogram& histogram : kMetricsHistograms) {
+      MetricsSnapshot& half = value <= 4 ? first : second;
+      (half.*histogram.field).record(value * value);
+      (whole.*histogram.field).record(value * value);
+    }
+  }
+
+  // Merging into an empty record copies the first half, so kFirst and
+  // kMin see it as their first value.
+  MetricsSnapshot merged;
+  merged.merge(first);
+  EXPECT_TRUE(merged == first);
+  merged.merge(second);
+  EXPECT_TRUE(merged == whole);
 }
 
 }  // namespace
