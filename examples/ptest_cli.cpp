@@ -11,9 +11,8 @@
 //             [--corpus FILE] [--jobs J] [--seed SEED] [--metrics]
 //   ptest_cli --scenario NAME --fleet N [--runs R] [--jobs J] [--seed SEED]
 //             [--export-corpus FILE] [--metrics]
-//   ptest_cli --serve DIR
 //   ptest_cli --listen PORT
-//   ptest_cli --scenario NAME --connect DIR|HOST:PORT[,HOST:PORT...]
+//   ptest_cli --scenario NAME --connect HOST:PORT[,HOST:PORT...]
 //             [--fleet N] [--runs R] ...
 //   ptest_cli --halt-fleet --connect HOST:PORT[,HOST:PORT...]
 //   ptest_cli --list-scenarios [--markdown]
@@ -53,22 +52,18 @@
 // Fleet mode shards the scenario campaign across workers.  --fleet N
 // alone runs coordinator and N workers as threads of this process (the
 // determinism demo: the summary is bit-identical to the single-process
-// run).  --serve DIR turns this process into a file-queue worker
-// polling DIR's spool; --connect DIR (with --scenario) runs the
-// coordinator against that spool, splitting the budget over --fleet N
-// shards served by however many --serve processes share the directory.
-// --listen PORT turns this process into a *persistent* TCP worker
-// daemon (PORT 0 = kernel-assigned; the bound port is printed) that
-// survives campaign boundaries: a --connect HOST:PORT[,HOST:PORT...]
-// coordinator dials the daemons, runs one campaign, and ends it with a
+// run).  --listen PORT turns this process into a *persistent* TCP
+// worker daemon (PORT 0 = kernel-assigned; the bound port is printed)
+// that survives campaign boundaries: a --connect HOST:PORT[,HOST:PORT...]
+// coordinator (with --scenario) dials the daemons, splits the budget
+// over --fleet N shards, runs one campaign, and ends it with a
 // campaign-end broadcast that leaves the daemons up for the next
-// coordinator.  --halt-fleet (with a socket --connect, no --scenario)
-// broadcasts the process-shutdown frame instead, ending the daemons.
+// coordinator.  --halt-fleet (with --connect, no --scenario) broadcasts
+// the process-shutdown frame instead, ending the daemons.
 // --export-corpus FILE writes the campaign's session-span corpus — the
 // merged corpus in fleet mode, the whole-budget equivalent in plain
 // scenario mode — which is what the CI fleet gate diffs.  Exit codes
-// mirror scenario mode; --serve/--listen exit 0 on a clean shutdown
-// frame.
+// mirror scenario mode; --listen exits 0 on a clean shutdown frame.
 #include <unistd.h>
 
 #include <chrono>
@@ -84,7 +79,6 @@
 #include "ptest/core/report.hpp"
 #include "ptest/fleet/coordinator.hpp"
 #include "ptest/fleet/socket_transport.hpp"
-#include "ptest/fleet/transport.hpp"
 #include "ptest/fleet/wire.hpp"
 #include "ptest/fleet/worker.hpp"
 #include "ptest/guided/campaign.hpp"
@@ -112,9 +106,8 @@ void usage(const char* argv0) {
                "       %s --scenario NAME --fleet N [--runs R] [--jobs J]"
                " [--seed SEED]\n"
                "          [--export-corpus FILE] [--metrics]\n"
-               "       %s --serve DIR\n"
                "       %s --listen PORT\n"
-               "       %s --scenario NAME --connect DIR|HOST:PORT[,...]"
+               "       %s --scenario NAME --connect HOST:PORT[,...]"
                " [--fleet N]\n"
                "          [--runs R] [--jobs J] [--seed SEED]"
                " [--export-corpus FILE] [--metrics]\n"
@@ -126,8 +119,7 @@ void usage(const char* argv0) {
                "                 workers' shipped fragments into one timeline)\n"
                "  --status       print a fleet liveness line per second to\n"
                "                 stderr (--fleet/--connect runs only)\n",
-               argv0, argv0, argv0, argv0, argv0, argv0, argv0, argv0,
-               argv0);
+               argv0, argv0, argv0, argv0, argv0, argv0, argv0, argv0);
 }
 
 /// Drains the process TraceRecorder (producers must already be joined —
@@ -356,17 +348,16 @@ int run_scenario_mode(const std::string& name, bool benign,
   return ok ? 0 : 2;
 }
 
-// File-queue / socket polling cadence: 1ms sleeps, bounded at ~10
-// minutes of continuous idling before coordinator or worker concludes
-// its peer is gone (smoke runs finish in seconds; a wedged fleet must
-// still exit).  The shard deadline re-issues an assignment quiet for
-// ~1 minute of idle polls — a worker process died mid-shard.
-constexpr std::uint64_t kSpoolIdleSleepUs = 1000;
-constexpr std::uint64_t kSpoolPollLimit = 600'000;
+// Socket fleet polling cadence: 1ms sleeps, bounded at ~10 minutes of
+// continuous idling before the coordinator concludes its peers are gone
+// (smoke runs finish in seconds; a wedged fleet must still exit).  The
+// shard deadline re-issues an assignment quiet for ~1 minute of idle
+// polls — a worker process died mid-shard.
+constexpr std::uint64_t kFleetIdleSleepUs = 1000;
+constexpr std::uint64_t kFleetPollLimit = 600'000;
 constexpr std::uint64_t kFleetShardDeadline = 60'000;
 
-/// "--connect host:port,host:port" → the endpoint list (a ':' is what
-/// distinguishes socket endpoints from a spool directory).
+/// "--connect host:port,host:port" → the endpoint list.
 std::vector<std::string> split_endpoints(const std::string& csv) {
   std::vector<std::string> endpoints;
   std::size_t begin = 0;
@@ -406,22 +397,16 @@ int run_fleet_mode(const std::string& name, std::size_t shards,
   const auto result =
       [&]() -> support::Result<fleet::FleetResult, std::string> {
     if (connect_to.empty()) return fleet::run_local_fleet(name, options);
-    options.idle_sleep_us = kSpoolIdleSleepUs;
-    options.poll_limit = kSpoolPollLimit;
+    options.idle_sleep_us = kFleetIdleSleepUs;
+    options.poll_limit = kFleetPollLimit;
     options.shard_deadline = kFleetShardDeadline;
+    // The daemons are persistent, so the campaign ends with
+    // campaign-end frames, not process shutdown — --halt-fleet is the
+    // explicit way to end the daemons.
+    options.drain = fleet::DrainMode::kCampaignEnd;
     try {
-      if (connect_to.find(':') != std::string::npos) {
-        // Socket fleet: the daemons are persistent, so the campaign
-        // ends with campaign-end frames, not process shutdown —
-        // --halt-fleet is the explicit way to end the daemons.
-        options.drain = fleet::DrainMode::kCampaignEnd;
-        fleet::SocketTransport transport(
-            fleet::SocketTransport::Connect{split_endpoints(connect_to)});
-        return fleet::Coordinator(name, options).run(transport);
-      }
-      fleet::FileQueueTransport transport(
-          connect_to, fleet::FileQueueTransport::Role::kCoordinator,
-          "coordinator-" + std::to_string(getpid()));
+      fleet::SocketTransport transport(
+          fleet::SocketTransport::Connect{split_endpoints(connect_to)});
       return fleet::Coordinator(name, options).run(transport);
     } catch (const std::exception& error) {
       return "--connect " + connect_to + ": " + error.what();
@@ -459,32 +444,10 @@ int run_fleet_mode(const std::string& name, std::size_t shards,
   return ok ? 0 : 2;
 }
 
-int run_serve_mode(const std::string& dir) {
-  using namespace ptest;
-  fleet::WorkerOptions options;
-  options.idle_sleep_us = kSpoolIdleSleepUs;
-  options.poll_limit = kSpoolPollLimit;
-  options.node = "worker-" + std::to_string(getpid());
-  try {
-    fleet::FileQueueTransport transport(
-        dir, fleet::FileQueueTransport::Role::kWorker, options.node);
-    const auto served = fleet::Worker(options).serve(transport);
-    if (!served.ok()) {
-      std::fprintf(stderr, "%s\n", served.error().c_str());
-      return 1;
-    }
-    std::printf("worker: served %zu shard(s)\n", served.value());
-    return 0;
-  } catch (const std::exception& error) {
-    std::fprintf(stderr, "--serve %s: %s\n", dir.c_str(), error.what());
-    return 64;
-  }
-}
-
 int run_listen_mode(std::uint16_t port) {
   using namespace ptest;
   fleet::WorkerOptions options;
-  options.idle_sleep_us = kSpoolIdleSleepUs;
+  options.idle_sleep_us = kFleetIdleSleepUs;
   // Persistent daemon: survives campaign-end frames and waits for the
   // next coordinator; only a shutdown frame (or days of total silence
   // under the default poll limit) ends it.
@@ -521,11 +484,11 @@ int run_halt_mode(const std::string& endpoints_csv) {
     for (std::size_t i = 0; i < peers; ++i) {
       std::uint64_t polls = 0;
       while (!transport.send(frame)) {
-        if (++polls > kSpoolPollLimit) {
+        if (++polls > kFleetPollLimit) {
           std::fprintf(stderr, "--halt-fleet: shutdown send jammed\n");
           return 1;
         }
-        usleep(kSpoolIdleSleepUs);
+        usleep(kFleetIdleSleepUs);
       }
     }
     std::printf("halt broadcast to %zu daemon(s)\n", peers);
@@ -560,8 +523,7 @@ int main(int argc, char** argv) {
   std::size_t epoch_sessions = 0;  // 0 = guided default
   std::string corpus_path;
   std::size_t fleet_shards = 0;  // 0 = not a fleet run
-  std::string serve_dir;
-  std::string connect_to;  // spool DIR or HOST:PORT[,HOST:PORT...]
+  std::string connect_to;  // HOST:PORT[,HOST:PORT...]
   bool listen_given = false;
   std::uint16_t listen_port = 0;
   bool halt_fleet = false;
@@ -620,8 +582,6 @@ int main(int argc, char** argv) {
       corpus_path = value();
     } else if (flag == "--fleet") {
       fleet_shards = positive(value());
-    } else if (flag == "--serve") {
-      serve_dir = value();
     } else if (flag == "--listen") {
       // 0 is meaningful here (kernel-assigned port), so this does not
       // go through positive().
@@ -693,10 +653,9 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--markdown requires --list-scenarios\n");
     return 64;
   }
-  if (!trace_path.empty() &&
-      (list_mode || !serve_dir.empty() || listen_given || halt_fleet)) {
+  if (!trace_path.empty() && (list_mode || listen_given || halt_fleet)) {
     std::fprintf(stderr, "--trace records a run: it conflicts with "
-                         "--serve/--listen/--halt-fleet/--list-scenarios\n");
+                         "--listen/--halt-fleet/--list-scenarios\n");
     return 64;
   }
   if (status && (halt_fleet || (fleet_shards == 0 && connect_to.empty()))) {
@@ -731,15 +690,6 @@ int main(int argc, char** argv) {
                          "--epoch-sessions)\n");
     return 64;
   }
-  if (!serve_dir.empty() &&
-      (!scenario_name.empty() || !connect_to.empty() || fleet_shards != 0 ||
-       guided_mode || list_mode || !export_path.empty() || benign ||
-       runs_given || campaign_mode || !plan_flag.empty() || listen_given ||
-       halt_fleet)) {
-    std::fprintf(stderr, "--serve takes no other flags: the coordinator "
-                         "decides what this worker runs\n");
-    return 64;
-  }
   if (listen_given &&
       (!scenario_name.empty() || !connect_to.empty() || fleet_shards != 0 ||
        guided_mode || list_mode || !export_path.empty() || benign ||
@@ -749,7 +699,7 @@ int main(int argc, char** argv) {
     return 64;
   }
   if (halt_fleet) {
-    if (connect_to.find(':') == std::string::npos) {
+    if (connect_to.empty()) {
       std::fprintf(stderr,
                    "--halt-fleet requires --connect HOST:PORT[,...]\n");
       return 64;
@@ -777,9 +727,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--export-corpus requires a buggy-plan --scenario "
                          "run (plain or fleet)\n");
     return 64;
-  }
-  if (!serve_dir.empty()) {
-    return run_serve_mode(serve_dir);
   }
   if (listen_given) {
     return run_listen_mode(listen_port);
@@ -896,18 +843,31 @@ int main(int argc, char** argv) {
   pfa::WalkScratch scratch;
   for (std::uint64_t run = 0; run < runs; ++run) {
     const std::uint64_t seed = base_seed + run;
+    const auto session_start = std::chrono::steady_clock::now();
     const auto result = core::execute(*plan, seed, setup, scratch);
+    // The same per-session fields Campaign::run_impl folds in phase 3.
+    const std::uint64_t ticks = result.session.stats.ticks;
     ++metrics.sessions;
     ++metrics.plan_cache_hits;
     metrics.patterns_generated += result.patterns.size();
+    metrics.ticks += ticks;
+    metrics.ticks_hist.record(ticks);
+    metrics.session_wall_hist.record(static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - session_start)
+            .count()));
     metrics.scratch_reuse_hits += result.scratch_reuse_hits;
     metrics.sample_alloc_bytes_saved += result.sample_alloc_bytes_saved;
+    if (config.dedup_patterns) {
+      metrics.dedup_accepted += result.patterns.size();
+      metrics.dedup_rejected += result.duplicates_rejected;
+    }
     std::printf("run %llu seed=%llu: %s (%zu commands, %llu ticks)\n",
                 static_cast<unsigned long long>(run + 1),
                 static_cast<unsigned long long>(seed),
                 core::to_string(result.session.outcome),
                 result.session.stats.commands_issued,
-                static_cast<unsigned long long>(result.session.stats.ticks));
+                static_cast<unsigned long long>(ticks));
     if (result.session.report) {
       std::printf("\n%s\n",
                   result.session.report->render(plan->alphabet).c_str());

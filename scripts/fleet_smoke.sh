@@ -1,19 +1,18 @@
 #!/usr/bin/env bash
-# Fleet smoke gate, both cross-process transports:
+# Fleet smoke gate, cross-process over sockets: two persistent
+# `ptest_cli --listen 0` worker daemons start ONCE and serve the whole
+# catalog.  For every scenario, a plain single-process run at a small
+# budget exports the reference corpus, then two fleet legs run the same
+# campaign through the daemons (`--connect host:port,host:port`):
 #
-#   Leg 1 (file queue): for every scenario in the catalog, run a
-#   2-worker file-queue fleet (two `ptest_cli --serve` processes plus a
-#   `--connect DIR` coordinator sharing a spool directory) at a small
-#   budget, and diff the merged corpus the coordinator exports against
-#   the corpus of a plain single-process run of the same scenario and
-#   budget.
+#   Leg 1: `--fleet 2`, one shard per daemon.
+#   Leg 2: `--fleet 3`, so one daemon serves two shards of one campaign
+#   and an uneven shard layout is gated across processes.
 #
-#   Leg 2 (sockets): start two persistent `ptest_cli --listen 0` worker
-#   daemons ONCE, then run the whole catalog through them — one
-#   `--connect host:port,host:port` coordinator per scenario — and diff
-#   each export against the file-queue leg's export.  The same two
-#   daemon processes serving every campaign is the persistence claim;
-#   the final `--halt-fleet` shuts them down and they must exit 0.
+# Each leg's merged corpus export is diffed against the serial export.
+# The same two daemon processes serving every campaign is the
+# persistence claim; the final `--halt-fleet` shuts them down and they
+# must exit 0.
 #
 # The fleet invariant says all exports must be byte-identical; any
 # difference fails the script.  All three runs also print --metrics,
@@ -91,10 +90,7 @@ echo "socket daemons up on ports $port0, $port1"
 
 failed=0
 for scenario in $scenarios; do
-  spool="$workdir/spool-$scenario"
   serial_corpus="$workdir/$scenario-serial.json"
-  fleet_corpus="$workdir/$scenario-fleet.json"
-  socket_corpus="$workdir/$scenario-socket.json"
 
   # Single-process reference (its corpus is the whole budget as one
   # span — exactly what the fleet must merge back to).  2 = oracle not
@@ -111,48 +107,30 @@ for scenario in $scenarios; do
     continue
   fi
 
-  # Leg 1: two worker processes and the coordinator over one spool.
-  "$cli" --serve "$spool" > "$workdir/$scenario-w0.out" 2>&1 &
-  w0=$!
-  "$cli" --serve "$spool" > "$workdir/$scenario-w1.out" 2>&1 &
-  w1=$!
-  fleet_code=0
-  "$cli" --scenario "$scenario" --runs "$budget" --connect "$spool" \
-         --fleet 2 --metrics --export-corpus "$fleet_corpus" \
-         > "$workdir/$scenario-fleet.out" 2>&1 || fleet_code=$?
-  wait "$w0" || { echo "FAIL $scenario: worker 0 died" >&2; failed=1; }
-  wait "$w1" || { echo "FAIL $scenario: worker 1 died" >&2; failed=1; }
-
-  if [ "$fleet_code" -ne "$serial_code" ]; then
-    echo "FAIL $scenario: serial exit $serial_code vs fleet exit $fleet_code" >&2
-    cat "$workdir/$scenario-fleet.out" >&2
-    failed=1
-    continue
-  fi
-  if ! cmp -s "$serial_corpus" "$fleet_corpus"; then
-    echo "FAIL $scenario: merged fleet corpus differs from single-process" >&2
-    diff "$serial_corpus" "$fleet_corpus" >&2 || true
-    failed=1
-    continue
-  fi
-
-  # Leg 2: the same campaign through the two persistent socket daemons.
-  socket_code=0
-  "$cli" --scenario "$scenario" --runs "$budget" --connect "$endpoints" \
-         --fleet 2 --metrics --export-corpus "$socket_corpus" \
-         > "$workdir/$scenario-socket.out" 2>&1 || socket_code=$?
-  if [ "$socket_code" -ne "$serial_code" ]; then
-    echo "FAIL $scenario: serial exit $serial_code vs socket exit $socket_code" >&2
-    cat "$workdir/$scenario-socket.out" >&2
-    failed=1
-    continue
-  fi
-  if ! cmp -s "$fleet_corpus" "$socket_corpus"; then
-    echo "FAIL $scenario: socket corpus differs from file-queue corpus" >&2
-    diff "$fleet_corpus" "$socket_corpus" >&2 || true
-    failed=1
-    continue
-  fi
+  # Legs 1 and 2: the same campaign through the two persistent
+  # daemons at 2 and 3 shards, each export diffed against serial.
+  legs_ok=1
+  for shards in 2 3; do
+    leg="fleet$shards"
+    leg_code=0
+    "$cli" --scenario "$scenario" --runs "$budget" --connect "$endpoints" \
+           --fleet "$shards" --metrics \
+           --export-corpus "$workdir/$scenario-$leg.json" \
+           > "$workdir/$scenario-$leg.out" 2>&1 || leg_code=$?
+    if [ "$leg_code" -ne "$serial_code" ]; then
+      echo "FAIL $scenario: serial exit $serial_code vs --fleet $shards exit $leg_code" >&2
+      cat "$workdir/$scenario-$leg.out" >&2
+      legs_ok=0
+      break
+    fi
+    if ! cmp -s "$serial_corpus" "$workdir/$scenario-$leg.json"; then
+      echo "FAIL $scenario: --fleet $shards corpus differs from single-process" >&2
+      diff "$serial_corpus" "$workdir/$scenario-$leg.json" >&2 || true
+      legs_ok=0
+      break
+    fi
+  done
+  [ "$legs_ok" -eq 1 ] || { failed=1; continue; }
 
   # Work-class metrics: serial vs each fleet leg.
   work_metrics "$workdir/$scenario-serial.out" > "$workdir/$scenario-serial.work"
@@ -162,7 +140,7 @@ for scenario in $scenarios; do
     continue
   fi
   metrics_ok=1
-  for leg in fleet socket; do
+  for leg in fleet2 fleet3; do
     work_metrics "$workdir/$scenario-$leg.out" > "$workdir/$scenario-$leg.work"
     if ! diff "$workdir/$scenario-serial.work" "$workdir/$scenario-$leg.work" >&2
     then
@@ -171,7 +149,7 @@ for scenario in $scenarios; do
     fi
   done
   [ "$metrics_ok" -eq 1 ] || { failed=1; continue; }
-  echo "ok $scenario (exit $serial_code, file-queue + socket corpora and work metrics identical)"
+  echo "ok $scenario (exit $serial_code, --fleet 2 and 3 corpora and work metrics identical)"
 done
 
 # --- leg 3: trace one campaign through the same daemons --------------------
@@ -215,4 +193,4 @@ if [ "$failed" -ne 0 ]; then
   echo "fleet smoke: FAILED" >&2
   exit 1
 fi
-echo "fleet smoke: all scenarios bit-identical over both transports"
+echo "fleet smoke: all scenarios bit-identical over both socket legs"

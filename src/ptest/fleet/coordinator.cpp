@@ -23,14 +23,6 @@ namespace {
 /// an error return into a near-hang.
 constexpr std::uint64_t kDrainSendBudget = 10'000;
 
-void idle_wait(std::uint64_t idle_sleep_us) {
-  if (idle_sleep_us == 0) {
-    std::this_thread::yield();
-  } else {
-    std::this_thread::sleep_for(std::chrono::microseconds(idle_sleep_us));
-  }
-}
-
 std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point since) {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(

@@ -1,7 +1,6 @@
 #include "ptest/fleet/worker.hpp"
 
 #include <chrono>
-#include <thread>
 
 #include "ptest/fleet/wire.hpp"
 #include "ptest/obs/trace.hpp"
@@ -15,14 +14,6 @@ namespace {
 /// dropping it (the coordinator is gone; its deadline re-issues the
 /// slice to a live worker).
 constexpr std::uint64_t kDaemonSendBudget = 10'000;
-
-void idle_wait(std::uint64_t idle_sleep_us) {
-  if (idle_sleep_us == 0) {
-    std::this_thread::yield();
-  } else {
-    std::this_thread::sleep_for(std::chrono::microseconds(idle_sleep_us));
-  }
-}
 
 }  // namespace
 

@@ -144,4 +144,13 @@ struct JsonValue {
 /// value marks corruption.
 [[nodiscard]] std::optional<std::uint64_t> json_count(const JsonValue* value);
 
+/// `value` as exactly 16 lower-case hex digits — how the project's
+/// documents carry 64-bit seeds and hashes, which a double-typed JSON
+/// number cannot hold exactly.
+[[nodiscard]] std::string hex64(std::uint64_t value);
+
+/// The strict inverse of hex64: 1..16 hex digits of either case; nullopt
+/// for anything else (empty text, 17+ digits, a `0x` prefix, a sign).
+[[nodiscard]] std::optional<std::uint64_t> parse_hex64(std::string_view text);
+
 }  // namespace ptest::support

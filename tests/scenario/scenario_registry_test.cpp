@@ -9,6 +9,7 @@
 
 #include <set>
 #include <stdexcept>
+#include <string>
 
 #include "ptest/core/campaign.hpp"
 
@@ -41,7 +42,9 @@ TEST(ScenarioRegistryTest, FindUnknownReturnsNull) {
 TEST(ScenarioRegistryTest, AddRejectsDuplicatesAndEmptyNames) {
   ScenarioRegistry registry;
   Scenario scenario;
-  scenario.name = "x";
+  // Move-assign a std::string: gcc 12's -Wrestrict misfires on the
+  // inlined operator=(const char*) here.
+  scenario.name = std::string("x");
   registry.add(scenario);
   EXPECT_THROW(registry.add(scenario), std::invalid_argument);
   Scenario unnamed;

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -265,8 +266,8 @@ TEST(JsonParse, NestingLimitIsExact) {
 }
 
 TEST(JsonParse, EveryTruncationOfADocumentIsRejected) {
-  // Fleet frames and corpora arrive over a file queue, where a reader
-  // can race a non-atomic writer and see a prefix.  No proper prefix of
+  // Fleet frames arrive over a byte stream and corpora from files, where
+  // a reader can see a prefix (a cut connection, a torn write).  No proper prefix of
   // a document whose root closes at the last byte may half-parse.
   const std::string doc =
       R"({"a": [1, -2.5e3, "x\nA", true, null], "b": {"c": false}})";
@@ -292,6 +293,26 @@ TEST(JsonParse, RejectsNumbersBeyondDoubleRange) {
   // The largest finite double still parses.
   EXPECT_TRUE(parse_json("1.7976931348623157e308").ok());
   EXPECT_TRUE(parse_json("-1.7976931348623157e308").ok());
+}
+
+TEST(Hex64, RoundTripsAndRejectsEverythingButPlainHexDigits) {
+  // Seeds and hashes ride in wire frames and corpus files as hex64
+  // strings, which goldens and the fleet smoke diff byte for byte.
+  EXPECT_EQ(hex64(0), "0000000000000000");
+  EXPECT_EQ(hex64(1), "0000000000000001");
+  EXPECT_EQ(hex64(UINT64_MAX), "ffffffffffffffff");
+  for (const std::uint64_t value :
+       {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{UINT64_MAX}}) {
+    EXPECT_EQ(parse_hex64(hex64(value)), value);
+  }
+  EXPECT_EQ(parse_hex64("DEADbeef"), 0xdeadbeefULL);
+  EXPECT_EQ(parse_hex64("FFFFFFFFFFFFFFFF"), UINT64_MAX);
+  EXPECT_EQ(parse_hex64("a"), 10u);
+  for (const char* bad : {"", "00000000000000000", "0x1", "0X1", "12g4",
+                          "-1", "+1", " 1", "1 "}) {
+    SCOPED_TRACE(bad);
+    EXPECT_FALSE(parse_hex64(bad).has_value());
+  }
 }
 
 }  // namespace
