@@ -7,7 +7,9 @@
 #
 #   Leg 1: `--fleet 2`, one shard per daemon.
 #   Leg 2: `--fleet 3`, so one daemon serves two shards of one campaign
-#   and an uneven shard layout is gated across processes.
+#   and an uneven shard layout is gated across processes.  Leg 2 runs on
+#   warm daemons: each still holds the plan leg 1 compiled, so its
+#   plan_compiles line (diffed below) pins the cached path to serial.
 #
 # Each leg's merged corpus export is diffed against the serial export.
 # The same two daemon processes serving every campaign is the
@@ -155,7 +157,8 @@ done
 # --- leg 3: trace one campaign through the same daemons --------------------
 # The daemons have already served the whole catalog; the traced run
 # proves the observability path works on a long-lived fleet, not just a
-# fresh one.  check_trace.py gates the stitched document: both worker
+# fresh one.  It traces the catalog's first scenario, which the daemons'
+# one-entry plan caches dropped long ago, so each lane shows a compile.  check_trace.py gates the stitched document: both worker
 # lanes with compile/session spans, coordinator issue/ack/merge,
 # monotonic timestamps, zero drops.
 [ -n "$trace_out" ] || trace_out="$workdir/fleet_trace.json"

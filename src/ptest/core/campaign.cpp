@@ -145,13 +145,13 @@ CampaignResult Campaign::run_impl(std::size_t run_base, std::size_t budget) {
   // and phase 3 below adds them in run order.
   support::MetricsSnapshot& metrics = result.metrics;
 
-  // Compile every arm's fixed artifact once, before any session runs:
-  // the plans are immutable from here on, so the worker threads share
-  // them without synchronization.
-  plans_.assign(arms_.size(), nullptr);
+  // Compile every arm's fixed artifact once (a plan already held is
+  // kept): the plans are immutable from here on, so the worker threads
+  // share them without synchronization.
+  plans_.resize(arms_.size());
   if (options_.precompile) {
     for (std::size_t i = 0; i < arms_.size(); ++i) {
-      plans_[i] = compile(arm_config(i));
+      if (!plans_[i]) plans_[i] = compile(arm_config(i));
       ++metrics.plan_compiles;
     }
   }

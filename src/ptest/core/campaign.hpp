@@ -174,12 +174,14 @@ class Campaign {
   [[nodiscard]] CampaignResult run_slice(const ShardSlice& slice);
 
   /// run_scenario's fleet-worker counterpart: builds the scenario's
-  /// single-arm campaign and executes just `slice` of it.  Defined in
-  /// scenario/run_scenario.cpp, next to the registry it consults.
+  /// single-arm campaign and executes just `slice` of it.  `plan`, if
+  /// given, caches this (name, benign, seed_override)'s plan: reused when
+  /// engaged, else filled.  Defined in scenario/run_scenario.cpp.
   [[nodiscard]] static support::Result<CampaignResult, std::string>
   run_scenario_slice(std::string_view name, const ShardSlice& slice,
                      CampaignOptions options = {}, bool benign = false,
-                     std::optional<std::uint64_t> seed_override = {});
+                     std::optional<std::uint64_t> seed_override = {},
+                     CompiledTestPlanPtr* plan = nullptr);
 
  private:
   /// Outcome of one session, reduced to what the policy, result, and
@@ -221,7 +223,7 @@ class Campaign {
   WorkloadSetup setup_;
   CampaignOptions options_;
   /// One immutable plan per arm, compiled at the top of run() when
-  /// options_.precompile; shared read-only by every worker thread.
+  /// options_.precompile (unless held); shared read-only by all workers.
   std::vector<CompiledTestPlanPtr> plans_;
 };
 

@@ -30,53 +30,34 @@ std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point since) {
           .count());
 }
 
-/// Merges the shard results in shard-index order — which is global
-/// run-index order, so every first-wins and in-order rule of the serial
-/// merge phase is reproduced exactly.  An empty input merges to an
-/// empty (zero-run) result, not UB.
-core::CampaignResult merge_shards(const std::vector<ResultFrame>& shards) {
-  core::CampaignResult merged;
-  merged.arm_stats.resize(1);
-  merged.best_arm = 0;
-  if (shards.empty()) return merged;
-  pattern::CoverageState coverage;
-  bool any_coverage = false;
-  for (const ResultFrame& frame : shards) {
-    const core::CampaignResult& shard = frame.result;
-    merged.arm_stats[0].runs += shard.arm_stats[0].runs;
-    merged.arm_stats[0].detections += shard.arm_stats[0].detections;
-    merged.total_runs += shard.total_runs;
-    merged.total_detections += shard.total_detections;
-    // Earlier shards hold earlier run indices, so emplace (first wins)
-    // keeps exactly the report the serial run would have kept.
-    for (const auto& [signature, report] : shard.distinct_failures) {
-      merged.distinct_failures.emplace(signature, report);
-    }
-    if (!shard.arm_coverage_state.empty()) {
-      any_coverage = true;
-      coverage.merge(shard.arm_coverage_state[0]);
-    }
-    // Shard-index order is global run order, and plan_compiles keeps
-    // the first shard's value: every shard compiled the one shared
-    // plan, which the serial run compiles once.
-    merged.metrics.merge(shard.metrics);
-  }
-  // Coverage unions across shards rather than summing, so the pfa_*
-  // totals come from the merged sets, not from merge()'s sums.
-  if (any_coverage) {
-    const pattern::CoverageReport report = coverage.report();
-    merged.arm_coverage.push_back(report);
-    merged.arm_coverage_state.push_back(std::move(coverage));
-    merged.metrics.pfa_states = report.states_total;
-    merged.metrics.pfa_states_covered = report.states_covered;
-    merged.metrics.pfa_transitions = report.transitions_total;
-    merged.metrics.pfa_transitions_covered = report.transitions_covered;
-    merged.metrics.pfa_ngrams = report.ngrams_observed;
-  }
-  return merged;
-}
-
 }  // namespace
+
+support::Result<guided::CoverageCorpus, std::string> shard_corpus(
+    const std::string& scenario, const core::ShardSlice& slice,
+    const core::CampaignResult& result,
+    std::optional<std::uint64_t> seed_override) {
+  const scenario::Scenario* entry =
+      scenario::ScenarioRegistry::builtin().find(scenario);
+  if (entry == nullptr) {
+    return "fleet: unknown scenario '" + scenario + "'";
+  }
+  if (result.arm_stats.size() != 1) {
+    return std::string("fleet: shard corpora require single-arm results");
+  }
+  guided::CoverageCorpus corpus;
+  corpus.set_scenario(scenario);
+  corpus.set_seed(seed_override ? *seed_override : entry->config.seed);
+  if (!result.arm_coverage_state.empty()) {
+    for (const auto& [state, symbol] : result.arm_coverage_state[0].transitions) {
+      corpus.add_transition(state, symbol);
+    }
+  }
+  if (auto error = corpus.add_span(slice.run_base, slice.sessions,
+                                   result.total_detections)) {
+    return "fleet: " + *error;
+  }
+  return corpus;
+}
 
 Coordinator::Coordinator(std::string scenario, CoordinatorOptions options)
     : scenario_(std::move(scenario)), options_(options) {}
@@ -140,7 +121,63 @@ support::Result<FleetResult, std::string> Coordinator::run_protocol(
     pending.push_back(std::move(frame));
   }
 
+  // Coordinator-owned timing histograms (shards add theirs in the fold).
+  obs::Histogram frame_rtt_hist;
+  obs::Histogram transport_send_hist;
+  obs::Histogram corpus_merge_hist;
+
+  // A result waits in shard_results until every earlier shard landed,
+  // then folds into `fleet` in shard order (global run order, so serial's
+  // first-wins rules hold) — nothing is left to merge after the last one.
   std::vector<std::optional<ResultFrame>> shard_results(slices.size());
+  std::size_t next_to_fold = 0;
+  FleetResult fleet;
+  fleet.result.arm_stats.resize(1);
+  // Fleet timings join `metrics` after the last fold, or merge() would
+  // fold the shards' zero fleet_* fields into them.
+  std::uint64_t fold_total_ns = 0, wall_min_ns = 0, wall_max_ns = 0;
+  support::MetricsSnapshot& metrics = fleet.result.metrics;
+  const auto fold_ready = [&]() -> std::optional<std::string> {
+    for (; next_to_fold < shard_results.size() && shard_results[next_to_fold];
+         ++next_to_fold) {
+      const std::uint64_t fold_start = obs::TraceRecorder::now_ns();
+      obs::TraceSpan fold_span("corpus-merge");
+      ResultFrame& frame = *shard_results[next_to_fold];
+      core::CampaignResult& shard = frame.result;
+      core::CampaignResult& merged = fleet.result;
+      merged.arm_stats[0].runs += shard.arm_stats[0].runs;
+      merged.arm_stats[0].detections += shard.arm_stats[0].detections;
+      merged.total_runs += shard.total_runs;
+      merged.total_detections += shard.total_detections;
+      for (auto& [signature, report] : shard.distinct_failures) {
+        merged.distinct_failures.try_emplace(signature, std::move(report));
+      }
+      if (!shard.arm_coverage_state.empty()) {
+        merged.arm_coverage_state.resize(1);
+        merged.arm_coverage_state[0].merge(shard.arm_coverage_state[0]);
+      }
+      // plan_compiles keeps the first shard's value (kFirst): every
+      // shard ran the one plan the serial run compiles once.
+      metrics.merge(shard.metrics);
+      auto corpus = shard_corpus(scenario_, slices[next_to_fold], shard,
+                                 options_.seed);
+      if (!corpus.ok()) return corpus.error();
+      if (auto error = fleet.corpus.merge(corpus.value())) {
+        return "fleet: shard " + std::to_string(next_to_fold) +
+               " corpus merge failed: " + *error;
+      }
+      // Min tracked from the first shard on, not from a 0 sentinel: a
+      // shard whose wall time rounds to 0ns is a genuine minimum.
+      wall_min_ns = next_to_fold == 0 ? frame.wall_ns
+                                      : std::min(wall_min_ns, frame.wall_ns);
+      wall_max_ns = std::max(wall_max_ns, frame.wall_ns);
+      shard_results[next_to_fold].reset();
+      const std::uint64_t fold_ns = obs::TraceRecorder::now_ns() - fold_start;
+      fold_total_ns += fold_ns;
+      corpus_merge_hist.record(fold_ns);
+    }
+    return std::nullopt;
+  };
   std::set<std::string> reporting_nodes;
   // Poll iteration each outstanding seq was issued at, for the shard
   // deadline: the ledger stays clock-free, the coordinator owns time.
@@ -150,11 +187,6 @@ support::Result<FleetResult, std::string> Coordinator::run_protocol(
   // shard's shipped trace fragment on the coordinator's timeline.
   std::map<std::uint32_t, std::uint64_t> issued_clock;
   std::vector<obs::NodeTrace> node_traces;
-  // Timing-class histograms owned by the coordinator (the shards
-  // contribute theirs through merge_shards).
-  obs::Histogram frame_rtt_hist;
-  obs::Histogram transport_send_hist;
-  obs::Histogram corpus_merge_hist;
   // --status bookkeeping.
   std::size_t sessions_done = 0;
   std::map<std::string, std::size_t> node_result_counts;
@@ -164,6 +196,19 @@ support::Result<FleetResult, std::string> Coordinator::run_protocol(
   std::size_t completed = 0;
   std::uint64_t retries_issued = 0;
   std::uint64_t now = 0;
+  // Sends `frame` under a fresh seq and files it in the ledger (moving
+  // it there); false, with nothing recorded, when the send pushed back.
+  const auto send_assign = [&](AssignFrame& frame, const char* instant) {
+    frame.seq = ledger.next_seq();
+    const std::uint64_t send_start = obs::TraceRecorder::now_ns();
+    if (!transport.send(encode(frame))) return false;
+    transport_send_hist.record(obs::TraceRecorder::now_ns() - send_start);
+    obs::TraceRecorder::instance().record_instant(instant);
+    issued_at[frame.seq] = now;
+    issued_clock[frame.seq] = send_start;
+    ledger.record_issue(std::move(frame));
+    return true;
+  };
   while (completed < slices.size()) {
     if (++now > options_.poll_limit) {
       return std::string("fleet: poll limit exceeded awaiting shard results");
@@ -194,20 +239,24 @@ support::Result<FleetResult, std::string> Coordinator::run_protocol(
         issued_clock.erase(clock_it);
       }
       issued_at.erase(frame.seq);
+      // The ledger, not the frame, says which slice a seq answers: a frame
+      // naming another shard, or not one arm of the slice's run count,
+      // would fold into the wrong slot or corpus span.
+      const std::size_t shard = issue->slice.index;
+      if (frame.shard != shard ||
+          (frame.error.empty() &&
+           (frame.result.arm_stats.size() != 1 ||
+            frame.result.total_runs != issue->slice.sessions))) {
+        return "fleet: malformed result for shard " + std::to_string(shard);
+      }
       if (!frame.error.empty()) {
-        if (!retries.schedule(issue->slice.index, *issue, now)) {
-          return "fleet: shard " + std::to_string(issue->slice.index) +
+        if (!retries.schedule(shard, *issue, now)) {
+          return "fleet: shard " + std::to_string(shard) +
                  " failed past the retry budget: " + frame.error;
         }
         continue;
       }
-      if (frame.shard >= shard_results.size()) {
-        return std::string("fleet: result names an unplanned shard");
-      }
-      if (frame.result.arm_stats.size() != 1) {
-        return std::string("fleet: shard results must be single-arm");
-      }
-      if (shard_results[frame.shard]) continue;  // duplicate: first wins
+      if (shard < next_to_fold || shard_results[shard]) continue;  // dup
       sessions_done += frame.result.total_runs;
       ++node_result_counts[frame.node.empty() ? "worker" : frame.node];
       if (!frame.trace_json.empty()) {
@@ -219,8 +268,9 @@ support::Result<FleetResult, std::string> Coordinator::run_protocol(
                                std::move(frame.trace_json), issue_clock_ns});
         frame.trace_json.clear();
       }
-      shard_results[frame.shard] = std::move(frame);
+      shard_results[shard] = std::move(frame);
       ++completed;
+      if (auto error = fold_ready()) return *error;
     }
 
     // Shard deadline: an assignment quiet past the heartbeat window is
@@ -252,15 +302,7 @@ support::Result<FleetResult, std::string> Coordinator::run_protocol(
     if (const auto* front = retries.front()) {
       if (front->not_before <= now) {
         if (auto record = retries.take_front()) {
-          record->payload.seq = ledger.next_seq();
-          const std::uint64_t send_start = obs::TraceRecorder::now_ns();
-          if (transport.send(encode(record->payload))) {
-            transport_send_hist.record(obs::TraceRecorder::now_ns() -
-                                       send_start);
-            obs::TraceRecorder::instance().record_instant("fleet:retry");
-            issued_at[record->payload.seq] = now;
-            issued_clock[record->payload.seq] = send_start;
-            ledger.record_issue(std::move(record->payload));
+          if (send_assign(record->payload, "fleet:retry")) {
             ++retries_issued;
             progressed = true;
           } else {
@@ -268,21 +310,10 @@ support::Result<FleetResult, std::string> Coordinator::run_protocol(
           }
         }
       }
-    } else if (!pending.empty()) {
-      AssignFrame frame = std::move(pending.front());
-      frame.seq = ledger.next_seq();
-      const std::uint64_t send_start = obs::TraceRecorder::now_ns();
-      if (transport.send(encode(frame))) {
-        transport_send_hist.record(obs::TraceRecorder::now_ns() - send_start);
-        obs::TraceRecorder::instance().record_instant("fleet:issue");
-        pending.pop_front();
-        issued_at[frame.seq] = now;
-        issued_clock[frame.seq] = send_start;
-        ledger.record_issue(std::move(frame));
-        progressed = true;
-      } else {
-        pending.front() = std::move(frame);  // keep the stamped copy idle
-      }
+    } else if (!pending.empty() &&
+               send_assign(pending.front(), "fleet:issue")) {
+      pending.pop_front();
+      progressed = true;
     }
 
     if (options_.on_status && status_interval_ns != 0) {
@@ -308,46 +339,23 @@ support::Result<FleetResult, std::string> Coordinator::run_protocol(
     if (!progressed) idle_wait(options_.idle_sleep_us);
   }
 
-  // Merge in shard order; the corpus merge is timed for the
-  // fleet_corpus_merge_ms metric.
-  std::vector<ResultFrame> ordered;
-  ordered.reserve(slices.size());
-  for (auto& slot : shard_results) ordered.push_back(std::move(*slot));
-
-  FleetResult fleet;
-  fleet.result = merge_shards(ordered);
-  const auto merge_start = std::chrono::steady_clock::now();
-  for (const ResultFrame& frame : ordered) {
-    const std::uint64_t shard_merge_start = obs::TraceRecorder::now_ns();
-    obs::TraceSpan merge_span("corpus-merge");
-    auto corpus = guided::CoverageCorpus::from_json(frame.corpus_json);
-    if (!corpus.ok()) {
-      return "fleet: shard " + std::to_string(frame.shard) +
-             " corpus rejected: " + corpus.error();
-    }
-    if (auto error = fleet.corpus.merge(corpus.value())) {
-      return "fleet: shard " + std::to_string(frame.shard) +
-             " corpus merge failed: " + *error;
-    }
-    corpus_merge_hist.record(obs::TraceRecorder::now_ns() - shard_merge_start);
+  // Coverage unions across shards rather than summing, so the pfa_*
+  // totals come from the merged sets, not from merge()'s sums.
+  if (!fleet.result.arm_coverage_state.empty()) {
+    const pattern::CoverageReport report =
+        fleet.result.arm_coverage_state[0].report();
+    fleet.result.arm_coverage.push_back(report);
+    metrics.pfa_states = report.states_total;
+    metrics.pfa_states_covered = report.states_covered;
+    metrics.pfa_transitions = report.transitions_total;
+    metrics.pfa_transitions_covered = report.transitions_covered;
+    metrics.pfa_ngrams = report.ngrams_observed;
   }
-  const std::uint64_t merge_ns = elapsed_ns(merge_start);
-
-  support::MetricsSnapshot& metrics = fleet.result.metrics;
-  metrics.fleet_shards = ordered.size();
+  metrics.fleet_shards = slices.size();
   metrics.fleet_retries = retries_issued;
-  metrics.fleet_corpus_merge_ns = merge_ns;
-  // Min tracked with a first-shard flag, not a 0 sentinel: a shard
-  // whose wall time rounds to 0ns is a genuine minimum, not "unset".
-  bool first_wall = true;
-  for (const ResultFrame& frame : ordered) {
-    metrics.fleet_shard_wall_max_ns =
-        std::max(metrics.fleet_shard_wall_max_ns, frame.wall_ns);
-    metrics.fleet_shard_wall_min_ns =
-        first_wall ? frame.wall_ns
-                   : std::min(metrics.fleet_shard_wall_min_ns, frame.wall_ns);
-    first_wall = false;
-  }
+  metrics.fleet_corpus_merge_ns = fold_total_ns;
+  metrics.fleet_shard_wall_min_ns = wall_min_ns;
+  metrics.fleet_shard_wall_max_ns = wall_max_ns;
   metrics.frame_rtt_hist.merge(frame_rtt_hist);
   metrics.transport_send_hist.merge(transport_send_hist);
   metrics.corpus_merge_hist.merge(corpus_merge_hist);

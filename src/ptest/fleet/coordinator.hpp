@@ -7,10 +7,11 @@
 // the same extracted machinery (fleet/ledger.hpp, shared RetryPolicy)
 // over a fleet::Transport instead: shard slices of a single-arm
 // scenario campaign go out as AssignFrames, ResultFrames come back,
-// failed shards are re-issued under the retry budget, and the shard
-// results merge — in shard-index order, which is global run order — into
-// one CampaignResult plus one CoverageCorpus that are bit-identical to
-// the single-process run of the same budget and seed.
+// failed shards are re-issued under the retry budget, and each shard
+// result folds — as soon as every earlier shard has landed, so in
+// shard-index order, which is global run order — into one CampaignResult
+// plus one CoverageCorpus (rebuilt per shard with shard_corpus) that are
+// bit-identical to the single-process run of the same budget and seed.
 //
 // The ledger's clock here is the poll-iteration counter (the committer
 // uses simulation ticks); RetryPolicy::delay therefore means "poll
@@ -134,6 +135,20 @@ class Coordinator {
   std::string scenario_;
   CoordinatorOptions options_;
 };
+
+/// The session-span corpus of one shard, which the coordinator rebuilds
+/// from the shard's result (and the serial reference the fleet gates
+/// diff against): scenario label, resolved plan
+/// seed, the covered transitions of `result`'s single arm, and one span
+/// [slice.run_base, slice.run_base + slice.sessions) carrying the
+/// detections.  Merging every shard's corpus in any order yields
+/// byte-for-byte the corpus this returns for the whole-budget slice of
+/// the single-process run.  Errors on unknown scenarios and multi-arm
+/// results.
+[[nodiscard]] support::Result<guided::CoverageCorpus, std::string>
+shard_corpus(const std::string& scenario, const core::ShardSlice& slice,
+             const core::CampaignResult& result,
+             std::optional<std::uint64_t> seed_override = {});
 
 /// Runs `scenario` as an in-process fleet: a Coordinator on the calling
 /// thread and `workers` Worker threads (0 = one per shard) over an

@@ -298,7 +298,6 @@ std::string encode(const ResultFrame& frame) {
     out.key("metrics");
     frame.result.metrics.write_json(out);
     out.end_object();
-    out.key("corpus").value(frame.corpus_json);
   }
   out.key("wall_ns").value(frame.wall_ns);
   if (!frame.trace_json.empty()) out.key("trace").value(frame.trace_json);
@@ -401,9 +400,6 @@ support::Result<DecodedFrame, std::string> decode(std::string_view text) {
               read_campaign_result(root.find("result"), frame.result.result)) {
         return *failure;
       }
-      const auto corpus = as_string(root.find("corpus"));
-      if (!corpus) return std::string("wire: missing corpus document");
-      frame.result.corpus_json = *corpus;
     }
     if (const support::JsonValue* trace = root.find("trace")) {
       const auto text = as_string(trace);

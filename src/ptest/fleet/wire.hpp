@@ -4,12 +4,12 @@
 // bridge/protocol.hpp frames commands for the simulated master/slave
 // channel as packed structs because both ends share one address space
 // and one build.  A fleet worker is a separate *process* (possibly a
-// different build on a shared filesystem), so its framing must be
+// different build on another host), so its framing must be
 // self-describing and versioned instead: each frame is one JSON
 // document written with support::JsonWriter and reloaded with
 // support::parse_json — the same strict round-trip pair the guided
 // corpus trusts.  Transports carry frames as opaque strings; nothing
-// here knows whether the string crossed a mutex or a filesystem.
+// here knows whether the string crossed a mutex or a socket.
 //
 // Four frames make up the protocol:
 //   * AssignFrame     coordinator -> worker: run this shard slice of a
@@ -17,8 +17,8 @@
 //   * ResultFrame     worker -> coordinator: the slice's CampaignResult
 //                     (reduced to its deterministic surface: arm stats,
 //                     distinct failures with their replay bundles,
-//                     coverage state, work counters) plus the shard's
-//                     corpus as an embedded JSON document;
+//                     coverage state, nonzero metrics), from which the
+//                     coordinator rebuilds the shard's corpus;
 //   * CampaignEnd     coordinator -> worker: this campaign is over.  A
 //                     persistent worker daemon stays up and waits for
 //                     the next campaign; a one-shot worker exits;
@@ -50,7 +50,9 @@ namespace ptest::fleet {
 /// histogram distributions in the metrics block.  v4 replaced the
 /// metrics block with MetricsSnapshot::write_json's object (every field
 /// of the metrics table, pfa_* included, histograms as top-level keys).
-inline constexpr std::uint64_t kWireVersion = 4;
+/// v5 dropped the embedded shard corpus from result frames and made the
+/// metrics object sparse (zero counters and empty histograms omitted).
+inline constexpr std::uint64_t kWireVersion = 5;
 
 enum class FrameKind : std::uint8_t {
   kAssign,
@@ -83,16 +85,13 @@ struct ResultFrame {
   /// the coordinator re-issues the assignment under its retry budget.
   std::string error;
   core::CampaignResult result;
-  /// The shard's CoverageCorpus as its own JSON document (the corpus
-  /// format owns its schema; embedding the string keeps one parser).
-  std::string corpus_json;
   /// Shard wall time (fleet_shard_imbalance metric).
   std::uint64_t wall_ns = 0;
   /// The worker's trace tail for this slice as its own JSON document
   /// (obs::trace_fragment_json: events rebased to the slice start, plus
   /// the ring-wrap drop count).  Empty when the assign didn't ask for a
-  /// trace; embedded as a string for the same one-parser reason as
-  /// corpus_json.
+  /// trace; embedded as a string so the trace format keeps its own
+  /// parser.
   std::string trace_json;
 };
 

@@ -4,7 +4,6 @@
 
 #include "ptest/fleet/wire.hpp"
 #include "ptest/obs/trace.hpp"
-#include "ptest/scenario/registry.hpp"
 
 namespace ptest::fleet {
 
@@ -16,33 +15,6 @@ namespace {
 constexpr std::uint64_t kDaemonSendBudget = 10'000;
 
 }  // namespace
-
-support::Result<guided::CoverageCorpus, std::string> shard_corpus(
-    const std::string& scenario, const core::ShardSlice& slice,
-    const core::CampaignResult& result,
-    std::optional<std::uint64_t> seed_override) {
-  const scenario::Scenario* entry =
-      scenario::ScenarioRegistry::builtin().find(scenario);
-  if (entry == nullptr) {
-    return "fleet: unknown scenario '" + scenario + "'";
-  }
-  if (result.arm_stats.size() != 1) {
-    return std::string("fleet: shard corpora require single-arm results");
-  }
-  guided::CoverageCorpus corpus;
-  corpus.set_scenario(scenario);
-  corpus.set_seed(seed_override ? *seed_override : entry->config.seed);
-  if (!result.arm_coverage_state.empty()) {
-    for (const auto& [state, symbol] : result.arm_coverage_state[0].transitions) {
-      corpus.add_transition(state, symbol);
-    }
-  }
-  if (auto error = corpus.add_span(slice.run_base, slice.sessions,
-                                   result.total_detections)) {
-    return "fleet: " + *error;
-  }
-  return corpus;
-}
 
 support::Result<std::size_t, std::string> Worker::serve(Transport& transport) {
   std::size_t executed = 0;
@@ -96,20 +68,17 @@ support::Result<std::size_t, std::string> Worker::serve(Transport& transport) {
     const auto wall_start = std::chrono::steady_clock::now();
     core::CampaignOptions campaign_options;
     campaign_options.jobs = assign.jobs;
+    if (plan_cache_.scenario != assign.scenario ||
+        plan_cache_.seed != assign.seed) {
+      plan_cache_ = {assign.scenario, assign.seed, nullptr};
+    }
     auto result = core::Campaign::run_scenario_slice(
-        assign.scenario, assign.slice, campaign_options, false, assign.seed);
+        assign.scenario, assign.slice, campaign_options, false, assign.seed,
+        &plan_cache_.plan);
     if (!result.ok()) {
       reply.error = result.error();
     } else {
       reply.result = std::move(result.value());
-      auto corpus = shard_corpus(assign.scenario, assign.slice, reply.result,
-                                 assign.seed);
-      if (!corpus.ok()) {
-        reply.error = corpus.error();
-        reply.result = {};
-      } else {
-        reply.corpus_json = corpus.value().to_json();
-      }
     }
     reply.wall_ns = static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(

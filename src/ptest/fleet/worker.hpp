@@ -3,10 +3,12 @@
 // A worker owns no policy: it polls its transport for AssignFrames,
 // runs each assigned shard slice through the exact code path the serial
 // runner uses (core::Campaign::run_scenario_slice), reports a
-// ResultFrame per slice — campaign result, session-span corpus, wall
-// time — and exits on a shutdown frame.  A slice that fails (unknown
-// scenario, multi-arm plan) is reported as an error frame so the
-// coordinator can retry or abort; the worker itself keeps serving.
+// ResultFrame per slice — campaign result, wall time — and exits on a
+// shutdown frame.  A slice that fails (unknown scenario) is reported as
+// an error frame so the coordinator can retry or abort; the worker
+// itself keeps serving.  It reuses the last slice's compiled plan when
+// the next slice has the same (scenario, seed); every slice still builds
+// its own policy, coverage trackers and sampling scratch.
 //
 // A *persistent* worker (WorkerOptions::persistent, the `--listen`
 // daemon mode) additionally survives campaign boundaries: a
@@ -15,11 +17,11 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "ptest/core/campaign.hpp"
 #include "ptest/fleet/transport.hpp"
-#include "ptest/guided/corpus.hpp"
 #include "ptest/support/result.hpp"
 
 namespace ptest::fleet {
@@ -61,19 +63,13 @@ class Worker {
 
  private:
   WorkerOptions options_;
+  /// The last slice's plan, one entry keyed by (scenario, seed); assigns
+  /// carry no benign flag (slices run the buggy plan), so neither does it.
+  struct {
+    std::string scenario;
+    std::optional<std::uint64_t> seed;
+    core::CompiledTestPlanPtr plan;
+  } plan_cache_;
 };
-
-/// The session-span corpus one shard reports (and the serial reference
-/// the CI fleet gate diffs against): scenario label, resolved plan
-/// seed, the covered transitions of `result`'s single arm, and one span
-/// [slice.run_base, slice.run_base + slice.sessions) carrying the
-/// detections.  Merging every shard's corpus in any order yields
-/// byte-for-byte the corpus this returns for the whole-budget slice of
-/// the single-process run.  Errors on unknown scenarios and multi-arm
-/// results.
-[[nodiscard]] support::Result<guided::CoverageCorpus, std::string>
-shard_corpus(const std::string& scenario, const core::ShardSlice& slice,
-             const core::CampaignResult& result,
-             std::optional<std::uint64_t> seed_override = {});
 
 }  // namespace ptest::fleet

@@ -51,10 +51,14 @@ support::Result<CampaignResult, std::string> Campaign::run_scenario(
 
 support::Result<CampaignResult, std::string> Campaign::run_scenario_slice(
     std::string_view name, const ShardSlice& slice, CampaignOptions options,
-    bool benign, std::optional<std::uint64_t> seed_override) {
+    bool benign, std::optional<std::uint64_t> seed_override,
+    CompiledTestPlanPtr* plan) {
   auto campaign = scenario_campaign(name, options, benign, seed_override);
   if (!campaign) return campaign.error();
-  return campaign.value().run_slice(slice);
+  if (plan != nullptr) campaign.value().plans_ = {*plan};
+  CampaignResult result = campaign.value().run_slice(slice);
+  if (plan != nullptr) *plan = campaign.value().plans_[0];
+  return result;
 }
 
 }  // namespace ptest::core

@@ -102,15 +102,19 @@ std::string MetricsSnapshot::render() const {
 }
 
 void MetricsSnapshot::write_json(JsonWriter& out) const {
+  // Sparse, like render(): zero counters and empty histograms are left
+  // out, and read_json reads an absent key back as zero.
   out.begin_object();
   for (const MetricsCounter& counter : kMetricsCounters) {
-    out.key(counter.key).value(this->*counter.field);
+    const std::uint64_t value = this->*counter.field;
+    if (value != 0) out.key(counter.key).value(value);
   }
   // Histograms as sparse [bucket_index, count] pairs: the layout is fixed
   // (obs::Histogram::kBuckets), so the pairs rebuild the exact bucket
   // array and the merge algebra survives the round trip.
   for (const MetricsHistogram& histogram : kMetricsHistograms) {
     const obs::Histogram& hist = this->*histogram.field;
+    if (hist.empty()) continue;
     out.key(histogram.key).begin_array();
     for (std::size_t i = 0; i < obs::Histogram::kBuckets; ++i) {
       if (hist.bucket(i) == 0) continue;
@@ -130,17 +134,20 @@ Result<MetricsSnapshot, std::string> MetricsSnapshot::read_json(
     return std::string("metrics: not an object");
   }
   const auto malformed = [](const char* key) {
-    return "metrics: missing or malformed '" + std::string(key) + "'";
+    return "metrics: malformed '" + std::string(key) + "'";
   };
   MetricsSnapshot metrics;
   for (const MetricsCounter& counter : kMetricsCounters) {
-    const auto value = json_count(node->find(counter.key));
-    if (!value) return malformed(counter.key);
-    metrics.*counter.field = *value;
+    const JsonValue* value = node->find(counter.key);
+    if (value == nullptr) continue;
+    const auto count = json_count(value);
+    if (!count) return malformed(counter.key);
+    metrics.*counter.field = *count;
   }
   for (const MetricsHistogram& histogram : kMetricsHistograms) {
-    if (!read_histogram(node->find(histogram.key),
-                        metrics.*histogram.field)) {
+    const JsonValue* pairs = node->find(histogram.key);
+    if (pairs != nullptr &&
+        !read_histogram(pairs, metrics.*histogram.field)) {
       return malformed(histogram.key);
     }
   }

@@ -40,7 +40,9 @@ struct MetricsSnapshot {
   // Work counters (deterministic given seed/config).
   std::uint64_t sessions = 0;            ///< sessions executed
   std::uint64_t plan_cache_hits = 0;     ///< sessions served by a precompiled plan
-  std::uint64_t plan_compiles = 0;       ///< full regex->PFA compile pipelines run
+  /// Plans run off: one per arm, or per session when not precompiled.  A
+  /// fleet worker's cached plan counts too, so warm daemons match serial.
+  std::uint64_t plan_compiles = 0;
   std::uint64_t patterns_generated = 0;  ///< test patterns sampled (kept)
   std::uint64_t dedup_accepted = 0;      ///< patterns accepted as new by dedup
   std::uint64_t dedup_rejected = 0;      ///< patterns rejected as replicas
@@ -146,14 +148,14 @@ struct MetricsSnapshot {
   /// and non-empty histogram, then the derived ratios and rates.
   [[nodiscard]] std::string render() const;
 
-  /// Emits every table field as one JSON object value (caller supplies
-  /// the surrounding key()/array slot): counters as numbers, histograms
-  /// as sparse [bucket, count] pairs.
+  /// Emits the nonzero table fields as one JSON object value (caller
+  /// supplies the surrounding key()/array slot): counters as numbers,
+  /// non-empty histograms as sparse [bucket, count] pairs.
   void write_json(JsonWriter& out) const;
 
-  /// Inverse of write_json.  The object may come from another process
-  /// (fleet result frames), so every table key must be present with a
-  /// non-negative integral value and every bucket index in range.
+  /// Inverse of write_json; an absent key reads as zero.  The object may
+  /// come from another process (fleet frames), so a present key must be
+  /// a non-negative integer and every bucket index in range.
   [[nodiscard]] static Result<MetricsSnapshot, std::string> read_json(
       const JsonValue* node);
 
@@ -166,7 +168,7 @@ enum class MetricsMerge : std::uint8_t {
   kSum,    ///< totals over the merged records
   kMax,    ///< largest value
   kMin,    ///< smallest value
-  kFirst,  ///< the first record's value (every shard compiles one plan)
+  kFirst,  ///< the first record's value (every shard runs the one plan)
 };
 
 struct MetricsCounter {

@@ -23,6 +23,7 @@
 #include "ptest/fleet/transport.hpp"
 #include "ptest/fleet/wire.hpp"
 #include "ptest/fleet/worker.hpp"
+#include "ptest/obs/trace.hpp"
 #include "ptest/support/metrics.hpp"
 
 namespace ptest::fleet {
@@ -143,15 +144,11 @@ TEST(Wire, ResultFrameCarriesARealCampaignResult) {
   ASSERT_FALSE(result.distinct_failures.empty());
   ASSERT_FALSE(result.arm_coverage_state.empty());
 
-  auto corpus = shard_corpus("philosophers-deadlock", slice, result);
-  ASSERT_TRUE(corpus.ok()) << corpus.error();
-
   ResultFrame frame;
   frame.seq = 3;
   frame.shard = 0;
   frame.node = "daemon-42";
   frame.result = result;
-  frame.corpus_json = corpus.value().to_json();
   frame.wall_ns = 12345;
   const auto decoded = decode(encode(frame));
   ASSERT_TRUE(decoded.ok()) << decoded.error();
@@ -162,7 +159,6 @@ TEST(Wire, ResultFrameCarriesARealCampaignResult) {
   EXPECT_EQ(got.node, "daemon-42");
   EXPECT_TRUE(got.error.empty());
   EXPECT_EQ(got.wall_ns, 12345u);
-  EXPECT_EQ(got.corpus_json, frame.corpus_json);
 
   const core::CampaignResult& r = got.result;
   EXPECT_EQ(r.total_runs, result.total_runs);
@@ -201,8 +197,12 @@ TEST(Wire, DecodeRejectsGarbageAndWrongVersions) {
   // v3 result frames carried a different metrics block.
   EXPECT_FALSE(decode(R"({"wire_version": 3, "kind": "shutdown"})").ok());
 
-  // A result frame whose metrics block lost a field, carries a non-count,
-  // or names a histogram bucket past the fixed layout is corrupt.
+  // v4 result frames embedded the corpus and listed every metric.
+  EXPECT_FALSE(decode(R"({"wire_version": 4, "kind": "shutdown"})").ok());
+
+  // The metrics block is sparse: a missing key reads as zero.  A present
+  // key holding a non-count, or a histogram bucket past the fixed
+  // layout, is corrupt.
   ResultFrame frame;
   frame.result.metrics.sessions = 5;
   frame.result.metrics.ticks_hist.record(100);  // bucket 7
@@ -216,8 +216,10 @@ TEST(Wire, DecodeRejectsGarbageAndWrongVersions) {
     return out;
   };
   EXPECT_FALSE(
-      decode(replaced("\"wire_version\":4", "\"wire_version\":3")).ok());
-  EXPECT_FALSE(decode(replaced("\"sessions\":5,", "")).ok());
+      decode(replaced("\"wire_version\":5", "\"wire_version\":4")).ok());
+  const auto without_sessions = decode(replaced("\"sessions\":5,", ""));
+  ASSERT_TRUE(without_sessions.ok()) << without_sessions.error();
+  EXPECT_EQ(without_sessions.value().result.result.metrics.sessions, 0u);
   EXPECT_FALSE(decode(replaced("\"sessions\":5", "\"sessions\":-5")).ok());
   EXPECT_FALSE(
       decode(replaced("\"sessions\":5", "\"sessions\":\"5\"")).ok());
@@ -254,8 +256,8 @@ TEST(InProcessQueue, DeliversEachFrameToExactlyOneEndAndBackpressures) {
 /// counter, coverage state, and the merged corpus document.
 void expect_fleet_identical(const FleetResult& fleet,
                             const core::CampaignResult& serial,
-                            const std::string& scenario,
-                            std::size_t budget) {
+                            const std::string& scenario, std::size_t budget,
+                            std::optional<std::uint64_t> seed = {}) {
   const core::CampaignResult& merged = fleet.result;
   EXPECT_EQ(merged.total_runs, serial.total_runs);
   EXPECT_EQ(merged.total_detections, serial.total_detections);
@@ -297,7 +299,7 @@ void expect_fleet_identical(const FleetResult& fleet,
   // The merged corpus must be byte-for-byte the corpus the serial run
   // exports for its whole budget as one slice.
   const core::ShardSlice whole{.index = 0, .run_base = 0, .sessions = budget};
-  auto reference = shard_corpus(scenario, whole, serial);
+  auto reference = shard_corpus(scenario, whole, serial, seed);
   ASSERT_TRUE(reference.ok()) << reference.error();
   EXPECT_EQ(fleet.corpus.to_json(), reference.value().to_json());
   ASSERT_EQ(fleet.corpus.spans().size(), 1u);  // shards coalesced
@@ -588,6 +590,142 @@ TEST(Fleet, DuplicateResultDeliveryIsAbsorbedFirstWins) {
   ASSERT_TRUE(serial.ok()) << serial.error();
   expect_fleet_identical(fleet.value(), serial.value(),
                          "philosophers-deadlock", 8);
+}
+
+/// Runs a 2-shard campaign whose first assignment is answered with an
+/// honest result that `forge` then tampers with; the hand-driven worker
+/// serves the rest for real.  The poll limit is small enough that a
+/// coordinator stuck waiting for the shard the forged frame displaced
+/// fails here instead of on the suite timeout.
+support::Result<FleetResult, std::string> run_with_forged_first_result(
+    void (*forge)(ResultFrame&)) {
+  InProcessQueue queue;
+  Transport& worker_end = queue.worker_endpoint();
+  CoordinatorOptions options;
+  options.shards = 2;
+  options.budget = 8;
+  options.poll_limit = 5'000'000;
+  std::thread worker_thread([&worker_end, forge] {
+    std::optional<std::string> text;
+    while (!(text = worker_end.receive())) std::this_thread::yield();
+    auto frame = decode(*text);
+    ASSERT_TRUE(frame.ok()) << frame.error();
+    const AssignFrame& assign = frame.value().assign;
+    auto ran = core::Campaign::run_scenario_slice(assign.scenario,
+                                                  assign.slice);
+    ASSERT_TRUE(ran.ok()) << ran.error();
+    ResultFrame reply;
+    reply.seq = assign.seq;
+    reply.shard = assign.slice.index;
+    reply.result = std::move(ran.value());
+    forge(reply);
+    while (!worker_end.send(encode(reply))) std::this_thread::yield();
+    (void)Worker().serve(worker_end);
+  });
+  auto fleet = Coordinator("philosophers-deadlock", options)
+                   .run(queue.coordinator_endpoint());
+  worker_thread.join();
+  return fleet;
+}
+
+TEST(Fleet, CoordinatorTrustsTheLedgerNotTheFrameForTheShard) {
+  // The seq says which slice a result answers.  A frame naming another
+  // shard (planned or not), or a run count that is not the slice's, is
+  // malformed: accepting it would fill the wrong slot and leave the
+  // issued shard outstanding forever.
+  for (void (*forge)(ResultFrame&) :
+       {+[](ResultFrame& frame) { frame.shard = 1; },
+        +[](ResultFrame& frame) { frame.shard = 99; },
+        +[](ResultFrame& frame) { --frame.result.total_runs; }}) {
+    auto fleet = run_with_forged_first_result(forge);
+    ASSERT_FALSE(fleet.ok());
+    EXPECT_NE(fleet.error().find("malformed result"), std::string::npos)
+        << fleet.error();
+  }
+}
+
+/// `metrics` reduced to its work-class fields (timing and fleet fields
+/// zeroed): what serial and fleet runs must agree on byte for byte.
+support::MetricsSnapshot work_class(support::MetricsSnapshot metrics) {
+  metrics.wall_ns = metrics.worker_idle_ns = metrics.worker_threads = 0;
+  metrics.fleet_shards = metrics.fleet_retries = 0;
+  metrics.fleet_corpus_merge_ns = 0;
+  metrics.fleet_shard_wall_max_ns = metrics.fleet_shard_wall_min_ns = 0;
+  metrics.session_wall_hist = metrics.corpus_merge_hist = {};
+  metrics.frame_rtt_hist = metrics.transport_send_hist = {};
+  return metrics;
+}
+
+/// A campaign result as wire bytes, metrics cut to the work class.
+std::string result_bytes(core::CampaignResult result) {
+  result.metrics = work_class(result.metrics);
+  ResultFrame frame;
+  frame.result = std::move(result);
+  return encode(frame);
+}
+
+TEST(Fleet, WarmDaemonWithAOneEntryPlanCacheIsBitIdenticalToSerial) {
+  // One persistent worker serves campaign A, then B (another seed), then
+  // A again.  Its plan cache holds exactly one entry: A's second shard
+  // reuses the plan its first compiled, B evicts A, and the third
+  // campaign compiles A afresh.  Every campaign must still match serial
+  // byte for byte — result, corpus, work-class metrics (plan_compiles
+  // included, whether the shard compiled or hit the cache).
+  const std::string scenario = "philosophers-deadlock";
+  const std::size_t budget = 12;
+  const std::uint64_t seeds[] = {11, 29, 11};
+  std::vector<core::CampaignResult> serial;
+  for (const std::uint64_t seed : seeds) {
+    core::CampaignOptions serial_options;
+    serial_options.budget = budget;
+    auto run = core::Campaign::run_scenario(scenario, serial_options, false,
+                                            seed);
+    ASSERT_TRUE(run.ok()) << run.error();
+    serial.push_back(std::move(run.value()));
+  }
+  ASSERT_GT(serial[0].total_detections, 0u);
+
+  // The compile spans in the trace count the compiles the daemon ran.
+  auto& recorder = obs::TraceRecorder::instance();
+  (void)recorder.drain();
+  recorder.enable();
+  InProcessQueue queue;
+  WorkerOptions worker_options;
+  worker_options.persistent = true;
+  worker_options.node = "warm-w0";
+  worker_options.ship_trace = false;
+  std::thread daemon([&queue, worker_options] {
+    auto served = Worker(worker_options).serve(queue.worker_endpoint());
+    ASSERT_TRUE(served.ok()) << served.error();
+    EXPECT_EQ(served.value(), 6u);  // three campaigns x two shards
+  });
+  for (std::size_t i = 0; i < std::size(seeds); ++i) {
+    CoordinatorOptions options;
+    options.shards = 2;
+    options.budget = budget;
+    options.seed = seeds[i];
+    options.drain = DrainMode::kCampaignEnd;
+    options.expected_workers = 1;
+    auto fleet = Coordinator(scenario, options).run(
+        queue.coordinator_endpoint());
+    ASSERT_TRUE(fleet.ok()) << fleet.error();
+    expect_fleet_identical(fleet.value(), serial[i], scenario, budget,
+                           seeds[i]);
+    EXPECT_EQ(result_bytes(fleet.value().result), result_bytes(serial[i]))
+        << "campaign " << i;
+    const obs::TraceDump dump = recorder.drain();
+    const auto compiles = std::count_if(
+        dump.events.begin(), dump.events.end(), [](const obs::TraceEvent& e) {
+          return std::string_view(e.name) == "compile";
+        });
+    EXPECT_EQ(compiles, 1) << "campaign " << i;
+  }
+  while (!queue.coordinator_endpoint().send(encode_shutdown())) {
+    std::this_thread::yield();
+  }
+  daemon.join();
+  recorder.disable();
+  (void)recorder.drain();
 }
 
 /// Drains `endpoint` and returns how many shutdown frames it held.

@@ -10,7 +10,7 @@
 #include <string>
 
 #include "ptest/core/campaign.hpp"
-#include "ptest/fleet/worker.hpp"
+#include "ptest/fleet/coordinator.hpp"
 #include "ptest/guided/corpus.hpp"
 
 namespace ptest::guided {

@@ -83,12 +83,14 @@ TEST(MetricsSnapshot, HistogramsRenderOnlyWhenPopulated) {
   EXPECT_NE(text.find("n=2"), std::string::npos);
   EXPECT_NE(text.find("p50="), std::string::npos);
   EXPECT_NE(text.find("p99="), std::string::npos);
-  // JSON always carries every histogram, as sparse [bucket, count] pairs.
+  // JSON carries the populated histograms only, as sparse [bucket,
+  // count] pairs, and leaves empty ones (and zero counters) out.
   JsonWriter out(0);
   snap.write_json(out);
   EXPECT_NE(out.str().find("\"ticks_hist\":[[7,1],[8,1]]"),
             std::string::npos);
-  EXPECT_NE(out.str().find("\"frame_rtt_hist\":[]"), std::string::npos);
+  EXPECT_EQ(out.str().find("frame_rtt_hist"), std::string::npos);
+  EXPECT_EQ(out.str().find("\"sessions\""), std::string::npos);
 }
 
 JsonValue json(std::string_view text) { return parse_json(text).value(); }
@@ -111,9 +113,9 @@ MetricsSnapshot fully_populated() {
 }
 
 // The audit over the field table: every field survives write_json ->
-// read_json and a fleet result frame exactly, appears in render(), and
-// read_json rejects the object when any single field is missing or
-// garbled.  A field added to the struct without a table row fails the
+// read_json and a fleet result frame exactly, appears in render(), reads
+// back as zero when its key is missing, and read_json rejects the
+// object when any single present field is garbled.  A field added to the struct without a table row fails the
 // static_assert in metrics.hpp; a row added here is covered by this loop.
 TEST(MetricsSnapshot, WriteJsonAndRenderStayInSync) {
   const MetricsSnapshot snap = fully_populated();
@@ -154,8 +156,13 @@ TEST(MetricsSnapshot, WriteJsonAndRenderStayInSync) {
     JsonValue missing = doc;
     missing.object.erase(missing.object.begin() +
                          static_cast<std::ptrdiff_t>(i));
-    EXPECT_FALSE(MetricsSnapshot::read_json(&missing).ok())
-        << "accepted an object without '" << key << "'";
+    const auto sparse = MetricsSnapshot::read_json(&missing);
+    ASSERT_TRUE(sparse.ok()) << "rejected an object without '" << key
+                             << "': " << sparse.error();
+    JsonWriter rewritten(0);
+    sparse.value().write_json(rewritten);
+    EXPECT_EQ(rewritten.str().find("\"" + key + "\""), std::string::npos)
+        << "'" << key << "' did not read back as zero";
 
     for (const JsonValue& bad :
          is_histogram ? bad_histograms : bad_counters) {
@@ -165,6 +172,14 @@ TEST(MetricsSnapshot, WriteJsonAndRenderStayInSync) {
           << "accepted a garbled '" << key << "'";
     }
   }
+  // The all-zero record writes as {} and reads back as itself.
+  JsonWriter zero(0);
+  MetricsSnapshot{}.write_json(zero);
+  EXPECT_EQ(zero.str(), "{}");
+  const JsonValue empty = json("{}");
+  const auto from_empty = MetricsSnapshot::read_json(&empty);
+  ASSERT_TRUE(from_empty.ok()) << from_empty.error();
+  EXPECT_TRUE(from_empty.value() == MetricsSnapshot{});
   EXPECT_FALSE(MetricsSnapshot::read_json(nullptr).ok());
 }
 
